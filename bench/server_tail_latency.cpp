@@ -19,11 +19,11 @@
 //    serving contract, not luck) — hence p99 <= deadline;
 //  * correctness under degradation: every completed query's distances are
 //    bit-identical to the host Dijkstra reference, including a sweep with
-//    a manually tripped lane across sim_threads {1,8} and stream counts
-//    {2,4} (full results bit-compare across sim_threads; across stream
-//    counts the completed distances must match the oracle);
+//    a manually tripped lane run twice at stream counts {2,4} (full results
+//    bit-compare across the two runs; across stream counts the completed
+//    distances must match the oracle);
 //  * streaming determinism: every streaming row is bit-identical across
-//    sim_threads {1, 8} — statuses, dispatch/finish times, promotions,
+//    two identical runs — statuses, dispatch/finish times, promotions,
 //    distances and makespans;
 //  * lane policy: at the highest offered load, deadline-aware placement
 //    (LanePolicy::kPredictedFastest) beats plain earliest-free on p99
@@ -95,7 +95,6 @@ int main(int argc, char** argv) {
   core::QueryBatchOptions bopts;
   bopts.streams = streams;
   bopts.gpu.delta0 = delta0;
-  bopts.gpu.sim_threads = config.sim_threads;
 
   // Calibrate the deadline off a clean single-lane run: the mean query cost
   // times a small slack. At load 1 everything fits; by load 8 a lane's
@@ -173,7 +172,7 @@ int main(int argc, char** argv) {
   // landmark warm starts; docs/serving.md "Result cache"). Fault-free on
   // purpose — this sweep isolates what reuse buys. Gates (exit 1):
   //  * every completed query, cached or cold, matches the Dijkstra oracle;
-  //  * the cached run is bit-identical across sim_threads {1, 8};
+  //  * the cached run is bit-identical across two identical runs;
   //  * cache-hit p50 sojourn < cold completed p50 sojourn (the reuse win).
   struct CacheSweep {
     std::size_t offered = 0, cold_done = 0;
@@ -197,10 +196,9 @@ int main(int argc, char** argv) {
         core::generate_traffic(spec, csr.num_vertices());
     cache_sweep.offered = schedule.size();
 
-    const auto run_cached = [&](int threads, bool cache_on) {
+    const auto run_cached = [&](bool cache_on) {
       core::QueryServerOptions sopts;
       sopts.batch = bopts;
-      sopts.batch.gpu.sim_threads = threads;
       sopts.max_pending = schedule.size();
       sopts.hedge_to_cpu = false;
       sopts.cache.enabled = cache_on;
@@ -209,9 +207,9 @@ int main(int argc, char** argv) {
       core::QueryServer server(csr, device, sopts);
       return server.run_stream(schedule);
     };
-    const core::StreamResult cold = run_cached(1, false);
-    const core::StreamResult cached = run_cached(1, true);
-    const core::StreamResult cached_wide = run_cached(8, true);
+    const core::StreamResult cold = run_cached(false);
+    const core::StreamResult cached = run_cached(true);
+    const core::StreamResult cached_again = run_cached(true);
 
     std::map<graph::VertexId, std::vector<graph::Weight>> cache_oracle;
     const auto check_exact = [&](const core::StreamResult& result,
@@ -237,24 +235,24 @@ int main(int argc, char** argv) {
     check_exact(cold, "cache-cold");
     check_exact(cached, "cache-on");
     for (std::size_t i = 0; i < schedule.size(); ++i) {
-      if (cached.stats[i].query.status != cached_wide.stats[i].query.status ||
-          cached.stats[i].dispatch_ms != cached_wide.stats[i].dispatch_ms ||
-          cached.stats[i].finish_ms != cached_wide.stats[i].finish_ms ||
+      if (cached.stats[i].query.status != cached_again.stats[i].query.status ||
+          cached.stats[i].dispatch_ms != cached_again.stats[i].dispatch_ms ||
+          cached.stats[i].finish_ms != cached_again.stats[i].finish_ms ||
           cached.queries[i].sssp.distances !=
-              cached_wide.queries[i].sssp.distances) {
+              cached_again.queries[i].sssp.distances) {
         std::fprintf(stderr,
                      "VIOLATION: cached streaming query %zu differs "
-                     "between sim_threads 1 and 8\n",
+                     "between two identical runs\n",
                      i);
         cache_sweep.deterministic = false;
       }
     }
-    if (cached.cached_queries != cached_wide.cached_queries ||
-        cached.joined_queries != cached_wide.joined_queries ||
-        cached.warm_started_queries != cached_wide.warm_started_queries) {
+    if (cached.cached_queries != cached_again.cached_queries ||
+        cached.joined_queries != cached_again.joined_queries ||
+        cached.warm_started_queries != cached_again.warm_started_queries) {
       std::fprintf(stderr,
-                   "VIOLATION: cache aggregates differ between "
-                   "sim_threads 1 and 8\n");
+                   "VIOLATION: cache aggregates differ between two "
+                   "identical runs\n");
       cache_sweep.deterministic = false;
     }
 
@@ -290,7 +288,7 @@ int main(int argc, char** argv) {
   std::printf("cache sweep (Zipf s=1.3, 64 hot sources, %zu queries): "
               "%zu exact hit(s), %zu join(s), %zu warm start(s); "
               "hit p50 %.4f ms vs cold p50 %.4f ms -> %s; "
-              "oracle-exact %s, sim_threads-deterministic %s\n",
+              "oracle-exact %s, deterministic %s\n",
               cache_sweep.offered, cache_sweep.hits, cache_sweep.joins,
               cache_sweep.warm, cache_sweep.hit_p50, cache_sweep.cold_p50,
               cache_sweep.beats_cold ? "cache wins" : "NO WIN",
@@ -439,10 +437,11 @@ int main(int argc, char** argv) {
   }
 
   // Degraded-routing determinism sweep: trip lane 0 up front, then verify
-  // full bit-identity across sim_threads and oracle-identity across stream
-  // counts (lane packing legitimately shifts statuses between layouts).
+  // full bit-identity across two identical runs and oracle-identity across
+  // stream counts (lane packing legitimately shifts statuses between
+  // layouts).
   for (const int sweep_streams : {2, 4}) {
-    std::vector<core::ServerResult> per_thread;
+    std::vector<core::ServerResult> runs;
     std::vector<core::ServerQuery> offered;
     for (int i = 0; i < 2 * sweep_streams; ++i) {
       core::ServerQuery q;
@@ -450,24 +449,22 @@ int main(int argc, char** argv) {
       q.deadline_ms = 10.0 * deadline_ms;
       offered.push_back(q);
     }
-    for (const int threads : {1, 8}) {
+    for (int run = 0; run < 2; ++run) {
       core::QueryServerOptions sopts;
       sopts.batch = bopts;
       sopts.batch.streams = sweep_streams;
-      sopts.batch.gpu.sim_threads = threads;
       sopts.breaker.cooldown_ms = deadline_ms;
       core::QueryServer server(csr, device, sopts);
       server.trip_lane(0);
-      per_thread.push_back(server.run(offered));
-      check(per_thread.back(), offered);
+      runs.push_back(server.run(offered));
+      check(runs.back(), offered);
     }
     for (std::size_t i = 0; i < offered.size(); ++i) {
-      if (per_thread[0].queries[i].sssp.distances !=
-              per_thread[1].queries[i].sssp.distances ||
-          per_thread[0].stats[i].query.status !=
-              per_thread[1].stats[i].query.status) {
+      if (runs[0].queries[i].sssp.distances !=
+              runs[1].queries[i].sssp.distances ||
+          runs[0].stats[i].query.status != runs[1].stats[i].query.status) {
         std::fprintf(stderr,
-                     "VIOLATION: sim_threads 1 vs 8 disagree on query %zu "
+                     "VIOLATION: two identical runs disagree on query %zu "
                      "(%d streams, lane 0 tripped)\n",
                      i, sweep_streams);
         distances_ok = false;
@@ -478,9 +475,8 @@ int main(int argc, char** argv) {
   // --- streaming sweep -----------------------------------------------------
   // 1000-query Poisson schedules at 1x / 2x / 4x of aggregate lane capacity
   // (streams / mean query cost), served continuously by run_stream() with
-  // per-class deadlines. Every row is produced twice, at sim_threads 1 and
-  // 8, and must bit-compare; the row reported comes from the sim_threads=1
-  // run. Deadlines are per traffic class, in units of the measured mean
+  // per-class deadlines. Every row is produced twice and must bit-compare;
+  // the row reported comes from the first run. Deadlines are per traffic class, in units of the measured mean
   // query cost, finite for all three classes so the lane policy applies to
   // the whole stream.
   gpusim::FaultConfig stream_fault = fault;
@@ -521,11 +517,10 @@ int main(int argc, char** argv) {
   }
 
   const auto run_stream_config =
-      [&](int threads, bool breakers, core::LanePolicy policy,
+      [&](bool breakers, core::LanePolicy policy,
           std::span<const core::TrafficQuery> schedule) {
         core::QueryServerOptions sopts;
         sopts.batch = bopts;
-        sopts.batch.gpu.sim_threads = threads;
         sopts.batch.gpu.fault = stream_fault;
         // A short pending queue keeps the completed sojourns service-
         // dominated: with a deep queue every tail percentile measures how
@@ -646,19 +641,19 @@ int main(int argc, char** argv) {
     for (const int load : stream_loads) {
       const std::vector<core::TrafficQuery>& schedule =
           stream_schedules[load];
-      const core::StreamResult narrow = run_stream_config(
-          1, breakers, core::LanePolicy::kPredictedFastest, schedule);
-      const core::StreamResult wide = run_stream_config(
-          8, breakers, core::LanePolicy::kPredictedFastest, schedule);
-      check_stream(narrow, schedule, "streaming");
-      if (!same_stream(narrow, wide)) {
+      const core::StreamResult first = run_stream_config(
+          breakers, core::LanePolicy::kPredictedFastest, schedule);
+      const core::StreamResult second = run_stream_config(
+          breakers, core::LanePolicy::kPredictedFastest, schedule);
+      check_stream(first, schedule, "streaming");
+      if (!same_stream(first, second)) {
         std::fprintf(stderr,
                      "VIOLATION: streaming row (breakers %s, load %dx) "
-                     "differs between sim_threads 1 and 8\n",
+                     "differs between two identical runs\n",
                      breakers ? "on" : "off", load);
         stream_deterministic = false;
       }
-      stream_rows.push_back(stream_row(load, breakers, narrow));
+      stream_rows.push_back(stream_row(load, breakers, first));
     }
   }
 
@@ -677,7 +672,7 @@ int main(int argc, char** argv) {
         make_stream_spec(stream_loads.back(), 3000), csr.num_vertices());
     for (const bool fastest : {false, true}) {
       const core::StreamResult result = run_stream_config(
-          1, false,
+          false,
           fastest ? core::LanePolicy::kPredictedFastest
                   : core::LanePolicy::kEarliestFree,
           schedule);
@@ -713,7 +708,7 @@ int main(int argc, char** argv) {
   //    moves to a surviving lane, the device is revived, and the stream
   //    keeps serving.
   // Gates (exit 1): resume goodput (deadline-met fraction) beats restart;
-  // the resume run is bit-identical across sim_threads {1, 8}; the
+  // the resume run is bit-identical across two identical runs; the
   // closed-loop variant keeps retry amplification within its budget.
   struct StormRow {
     std::size_t offered = 0, done = 0, shed = 0, missed = 0, failed = 0;
@@ -742,10 +737,9 @@ int main(int argc, char** argv) {
   storm_loop.seed = config.seed;
   storm_loop.backpressure_depth = 8;
   storm_loop.backpressure_penalty_ms = 0.25 * mean_ms;
-  const auto run_storm = [&](int threads, bool resume, bool closed) {
+  const auto run_storm = [&](bool resume, bool closed) {
     core::QueryServerOptions sopts;
     sopts.batch = bopts;
-    sopts.batch.gpu.sim_threads = threads;
     sopts.batch.gpu.fault = storm_fault;
     sopts.batch.gpu.retry.max_attempts = 3;
     sopts.batch.gpu.retry.cpu_fallback = false;
@@ -779,22 +773,22 @@ int main(int argc, char** argv) {
         static_cast<double>(row.done) / static_cast<double>(row.offered);
     return row;
   };
-  const core::StreamResult storm_restart = run_storm(1, false, false);
-  const core::StreamResult storm_resume = run_storm(1, true, false);
-  const core::StreamResult storm_resume_wide = run_storm(8, true, false);
-  const core::StreamResult storm_closed = run_storm(1, true, true);
+  const core::StreamResult storm_restart = run_storm(false, false);
+  const core::StreamResult storm_resume = run_storm(true, false);
+  const core::StreamResult storm_resume_again = run_storm(true, false);
+  const core::StreamResult storm_closed = run_storm(true, true);
   check_stream(storm_restart, storm_schedule, "storm-restart");
   check_stream(storm_resume, storm_schedule, "storm-resume");
   check_stream(storm_closed, storm_schedule, "storm-closed-loop");
-  bool storm_deterministic = same_stream(storm_resume, storm_resume_wide);
-  if (storm_resume.resumed_queries != storm_resume_wide.resumed_queries ||
-      storm_resume.migrated_queries != storm_resume_wide.migrated_queries) {
+  bool storm_deterministic = same_stream(storm_resume, storm_resume_again);
+  if (storm_resume.resumed_queries != storm_resume_again.resumed_queries ||
+      storm_resume.migrated_queries != storm_resume_again.migrated_queries) {
     storm_deterministic = false;
   }
   if (!storm_deterministic) {
     std::fprintf(stderr,
-                 "VIOLATION: storm resume run differs between sim_threads "
-                 "1 and 8\n");
+                 "VIOLATION: storm resume run differs between two identical "
+                 "runs\n");
   }
   const StormRow storm_a = storm_row(storm_restart);
   const StormRow storm_b = storm_row(storm_resume);
@@ -885,7 +879,7 @@ int main(int argc, char** argv) {
               "breakers observable under faults: %s\n",
               deadline_bounded ? "yes" : "NO", distances_ok ? "yes" : "NO",
               breakers_observable ? "yes" : "NO");
-  std::printf("stream rows bit-identical across sim_threads {1,8}: %s; "
+  std::printf("stream rows bit-identical across two identical runs: %s; "
               "predicted-fastest beats earliest-free at %dx load: %s "
               "(p99 %.3f ms vs %.3f ms)\n",
               stream_deterministic ? "yes" : "NO", stream_loads.back(),

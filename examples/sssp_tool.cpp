@@ -7,8 +7,8 @@
 //   # shortest path on a DIMACS road file, with the route printed
 //   ./sssp_tool --input=ny.gr --format=dimacs --source=0 --target=1234
 //
-//   # RDBS on a generated Kronecker graph, profile + bucket trace (CSV)
-//   ./sssp_tool --dataset=k-n16-16 --algorithm=rdbs --profile --trace
+//   # RDBS on a generated Kronecker graph with an nvprof-style profile
+//   ./sssp_tool --dataset=k-n16-16 --algorithm=rdbs --profile
 //
 //   # compare algorithms on a surrogate dataset
 //   ./sssp_tool --dataset=soc-PK --algorithm=all --sources=4
@@ -40,6 +40,10 @@
 //       --serve-stream=poisson:n=500,rate=2,deadlines=2/8/-
 //       --closed-loop=budget=2,backoff=0.5
 //       --inject-faults=seed=7,launch=0.3
+//
+// A flag the chosen mode never reads (a typo, or e.g. --deadline-ms
+// without --batch) is an error: the tool names it and exits 2 before the
+// first solve.
 #include <algorithm>
 #include <array>
 #include <cmath>
@@ -223,6 +227,18 @@ int report_sanitizer(core::QueryBatch& batch) {
   return 3;
 }
 
+// Called once every flag the chosen mode uses has been looked up: names any
+// flag nothing read and returns false, so a typo never silently changes
+// what was run.
+bool all_flags_read(const CliArgs& args) {
+  const std::vector<std::string> unread = args.unread();
+  for (const std::string& name : unread) {
+    std::fprintf(stderr, "unknown flag, or unused in this mode: --%s\n",
+                 name.c_str());
+  }
+  return unread.empty();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -246,6 +262,12 @@ int main(int argc, char** argv) {
       args.get_int("source", static_cast<std::int64_t>(
                                  bench::pick_sources(csr, 1, config.seed)[0])));
   const std::string algorithm = args.get_string("algorithm", "rdbs");
+  const bool batch_mode = args.get_bool("batch", false);
+  // Single-source mode only: route printing and the nvprof-style profile.
+  const bool has_target = !batch_mode && args.has("target");
+  const auto target =
+      has_target ? static_cast<graph::VertexId>(args.get_int("target", 0)) : 0;
+  const bool profile = !batch_mode && args.get_bool("profile", false);
   // --sanitize: run every simulated engine under gsan (docs/sanitizer.md);
   // hazard reports go to stderr and the exit code becomes 3.
   const gpusim::SanitizeMode sanitize = args.get_bool("sanitize", false)
@@ -263,14 +285,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (args.get_bool("batch", false)) {
+  if (batch_mode) {
     // Batched multi-source mode: --sources queries over --batch-streams
     // concurrent streams on one resident graph (rdbs or adds engines).
     const std::vector<graph::VertexId> sources =
         bench::pick_sources(csr, config.num_sources, config.seed);
     core::QueryBatchOptions bopts;
     bopts.streams = config.batch_streams;
-    bopts.gpu.sim_threads = config.sim_threads;
     bopts.gpu.sanitize = sanitize;
     bopts.gpu.fault = fault;
     // --checkpoint-interval=N: engines snapshot their distance vector every
@@ -397,6 +418,7 @@ int main(int argc, char** argv) {
             return 2;
           }
         }
+        if (!all_flags_read(args)) return 2;
         core::QueryServer server(csr, device, sopts);
         const core::StreamResult result = server.run_stream(schedule);
 
@@ -500,6 +522,7 @@ int main(int argc, char** argv) {
         }
         return report_sanitizer(server.batch());
       }
+      if (!all_flags_read(args)) return 2;
       core::QueryServer server(csr, device, sopts);
       std::vector<core::ServerQuery> offered;
       offered.reserve(sources.size());
@@ -589,6 +612,7 @@ int main(int argc, char** argv) {
       return report_sanitizer(server.batch());
     }
 
+    if (!all_flags_read(args)) return 2;
     core::QueryBatch batch(csr, device, bopts);
     const core::BatchResult result = batch.run(sources);
 
@@ -656,6 +680,7 @@ int main(int argc, char** argv) {
           ? std::vector<std::string>{"dijkstra", "bellman-ford", "pq-delta",
                                      "hn07", "sep", "adds", "rdbs"}
           : std::vector<std::string>{algorithm};
+  if (!all_flags_read(args)) return 2;
 
   TextTable table({"algorithm", "time ms", "kind", "reached", "updates",
                    "redundancy", "valid"});
@@ -692,9 +717,7 @@ int main(int argc, char** argv) {
   }
   std::fputs(table.render().c_str(), stdout);
 
-  if (args.has("target")) {
-    const auto target =
-        static_cast<graph::VertexId>(args.get_int("target", 0));
+  if (has_target) {
     const auto parents =
         sssp::build_parent_tree(csr, source, last.sssp.distances);
     const auto path = sssp::extract_path(parents, source, target);
@@ -712,7 +735,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (args.get_bool("profile", false) && last.simulated) {
+  if (profile && last.simulated) {
     std::printf("\n%s", gpusim::profiler_report(last.counters, device).c_str());
   }
   if (sanitize == gpusim::SanitizeMode::kOn) {

@@ -44,33 +44,46 @@ CliArgs::CliArgs(int argc, char** argv) {
   }
 }
 
+const std::string* CliArgs::find(const std::string& name) const {
+  read_.insert(name);
+  const auto it = flags_.find(name);
+  return it == flags_.end() ? nullptr : &it->second;
+}
+
 bool CliArgs::has(const std::string& name) const {
-  return flags_.contains(name);
+  return find(name) != nullptr;
 }
 
 std::string CliArgs::get_string(const std::string& name,
                                 const std::string& fallback) const {
-  const auto it = flags_.find(name);
-  return it == flags_.end() ? fallback : it->second;
+  const std::string* value = find(name);
+  return value == nullptr ? fallback : *value;
 }
 
 std::int64_t CliArgs::get_int(const std::string& name,
                               std::int64_t fallback) const {
-  const auto it = flags_.find(name);
-  return it == flags_.end() ? fallback : std::strtoll(it->second.c_str(),
-                                                      nullptr, 10);
+  const std::string* value = find(name);
+  return value == nullptr ? fallback
+                          : std::strtoll(value->c_str(), nullptr, 10);
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
-  const auto it = flags_.find(name);
-  return it == flags_.end() ? fallback : std::strtod(it->second.c_str(),
-                                                     nullptr);
+  const std::string* value = find(name);
+  return value == nullptr ? fallback : std::strtod(value->c_str(), nullptr);
 }
 
 bool CliArgs::get_bool(const std::string& name, bool fallback) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string* value = find(name);
+  if (value == nullptr) return fallback;
+  return *value == "true" || *value == "1" || *value == "yes";
+}
+
+std::vector<std::string> CliArgs::unread() const {
+  std::vector<std::string> names;
+  for (const auto& [name, value] : flags_) {
+    if (!read_.contains(name)) names.push_back(name);
+  }
+  return names;
 }
 
 }  // namespace rdbs

@@ -1,11 +1,15 @@
 // Minimal command-line flag parser for the bench binaries and examples.
 //
 // Supports --flag=value, --flag value, and bare boolean --flag forms.
-// Unknown flags are collected so google-benchmark's own flags pass through.
+// --benchmark_* flags are collected so google-benchmark's own flags pass
+// through. Every lookup (has / get_*) marks its flag as read, so a program
+// can name the flags it never looked at (unread()) instead of silently
+// ignoring a typo. Lookups are const but not thread-safe.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -30,8 +34,15 @@ class CliArgs {
   // suitable for handing to benchmark::Initialize.
   std::vector<std::string> passthrough() const { return passthrough_; }
 
+  // Names (without the leading --) of the flags given on the command line
+  // that no has() / get_*() call has looked up yet, in name order.
+  std::vector<std::string> unread() const;
+
  private:
+  const std::string* find(const std::string& name) const;
+
   std::map<std::string, std::string> flags_;
+  mutable std::set<std::string> read_;
   std::vector<std::string> positional_;
   std::vector<std::string> passthrough_;
 };

@@ -29,7 +29,6 @@ namespace rdbs::core {
 struct AddsOptions {
   graph::Weight delta = 100.0;  // Near/Far threshold increment
   bool instrument = false;
-  int sim_threads = 0;          // gpusim replay threads (0 = library default)
   // gsan hazard analysis over every launch (docs/sanitizer.md).
   gpusim::SanitizeMode sanitize = gpusim::SanitizeMode::kOff;
   // Deterministic fault injection + recovery (gfi; docs/fault_injection.md).

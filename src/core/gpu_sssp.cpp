@@ -28,7 +28,6 @@ GpuDeltaStepping::GpuDeltaStepping(gpusim::DeviceSpec device, const Csr& csr,
       sim_(owned_sim_.get()),
       csr_(csr),
       options_(options) {
-  sim_->set_worker_threads(options_.sim_threads);
   if (options_.sanitize != gpusim::SanitizeMode::kOff) {
     sim_->enable_sanitizer(options_.sanitize);
   }

@@ -77,12 +77,6 @@ struct GpuSsspOptions {
   bool instrument = true;
 
   // --- simulator execution --------------------------------------------------
-  // Host worker threads for the gpusim replay phase (0 = library default).
-  // Purely a wall-clock knob: counters, ms and distances are bit-identical
-  // for every value (see docs/costmodel.md, "Parallel execution &
-  // determinism").
-  int sim_threads = 0;
-
   // gsan hazard analysis over every launch (docs/sanitizer.md). Off by
   // default; results are unchanged either way — sanitizing only observes.
   gpusim::SanitizeMode sanitize = gpusim::SanitizeMode::kOff;

@@ -52,7 +52,6 @@ QueryBatch::QueryBatch(const graph::Csr& csr, gpusim::DeviceSpec device,
   }
 
   sim_ = std::make_unique<gpusim::GpuSim>(std::move(device));
-  sim_->set_worker_threads(options_.gpu.sim_threads);
   sim_->enable_sanitizer(options_.gpu.sanitize);
   if (options_.gpu.fault.enabled) {
     sim_->enable_fault_injection(options_.gpu.fault);
@@ -71,7 +70,6 @@ QueryBatch::QueryBatch(const graph::Csr& csr, gpusim::DeviceSpec device,
     } else {
       AddsOptions adds;
       adds.delta = options_.adds_delta;
-      adds.sim_threads = options_.gpu.sim_threads;
       adds.fault = options_.gpu.fault;
       adds.retry = options_.gpu.retry;
       adds.checkpoint_interval = options_.gpu.checkpoint_interval;

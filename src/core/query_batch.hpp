@@ -15,7 +15,7 @@
 //
 // Determinism: lane selection and engine execution are host-serial, so the
 // distances of a batch are bit-identical to the same queries run one at a
-// time on a fresh engine, for any sim_threads and any stream count —
+// time on a fresh engine, for any stream count —
 // streams repartition simulated *time*, never functional state.
 #pragma once
 
@@ -44,8 +44,7 @@ enum class BatchEngine {
 struct QueryBatchOptions {
   int streams = 4;  // concurrent query lanes (>= 1)
   BatchEngine engine = BatchEngine::kRdbs;
-  GpuSsspOptions gpu;           // RDBS configuration; gpu.sim_threads also
-                                // sets the shared simulator's replay threads
+  GpuSsspOptions gpu;           // RDBS configuration
   graph::Weight adds_delta = 100.0;  // Near/Far increment for kAdds
   // Smoothing factor of the per-lane device-cost EWMA that feeds the
   // serving layer's admission control (lane_cost_estimate_ms): estimate <-

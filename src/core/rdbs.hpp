@@ -44,9 +44,6 @@ class RdbsSolver {
 
   const Csr& engine_graph() const { return graph_; }
   const GpuSsspOptions& options() const { return engine_->options(); }
-  // The simulator backing the engine — replay-mode/layout knobs and the
-  // trace/replay statistics (capacity reporting in bench/).
-  gpusim::GpuSim& sim() { return engine_->sim(); }
   // Preprocessing (reordering) time on the host, milliseconds. The paper
   // reports SSSP kernel time only; preprocessing is a one-off per graph.
   double preprocessing_ms() const { return preprocessing_ms_; }

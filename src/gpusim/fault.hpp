@@ -9,13 +9,13 @@
 //
 //     (seed, stream, per-stream launch ordinal, warp task, memory-op index)
 //
-// hashed through SplitMix64 — never wall-clock time, never the replay
-// worker count. All decisions are taken during the serial record phase, so
-// an injected fault plan is byte-identical for any `sim_threads`, and a
-// failing chaos run replays exactly from its seed.
+// hashed through SplitMix64 — never wall-clock time. All decisions are
+// taken host-serially in canonical task order, so an injected fault plan is
+// byte-identical across runs, and a failing chaos run replays exactly from
+// its seed.
 //
 // Fault semantics follow the CUDA model of *asynchronous* error reporting:
-// a faulted launch still executes (record-phase effects are not unwound) —
+// a faulted launch still executes (its functional effects are not unwound) —
 // the fault is observed at completion, the attempt's device state counts as
 // poisoned, and the engine layer discards and retries the whole query (see
 // core/recovery.hpp). Only ECC-correctable flips leave the attempt usable.

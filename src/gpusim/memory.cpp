@@ -144,14 +144,14 @@ MemorySim::AccessResult MemorySim::access(
   RDBS_DCHECK(sm_id >= 0 && static_cast<std::size_t>(sm_id) < l1_.size());
   RDBS_DCHECK(addresses.size() <= 32);
 
-  // Coalesce through the shared replay primitive: sorted distinct sectors,
+  // Coalesce through the shared primitive: sorted distinct sectors,
   // grouped into (line, sector-mask) pairs so each line costs one tag scan.
   std::array<std::uint64_t, 32> lane_addrs{};
   std::array<WarpLineRef, 32> lines{};
   std::uint32_t lanes = 0;
   for (const std::uint64_t addr : addresses) lane_addrs[lanes++] = addr;
-  const CoalesceResult co = coalesce_warp_lanes(
-      lane_addrs.data(), lanes, /*presorted=*/false, spl_shift_, lines.data());
+  const CoalesceResult co =
+      coalesce_warp_lanes(lane_addrs.data(), lanes, spl_shift_, lines.data());
 
   AccessResult result;
   result.transactions = co.sectors;

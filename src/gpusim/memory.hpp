@@ -17,8 +17,8 @@ namespace rdbs::gpusim {
 
 // One cache line touched by a warp memory instruction: line index
 // (= address / line_bytes) plus the mask of 32B sectors requested within
-// it. The replay probes these through SectoredCache::access_line, which
-// amortizes the set's way scan over every sector of the line.
+// it. The charge path probes these through SectoredCache::access_line,
+// which amortizes the set's way scan over every sector of the line.
 struct WarpLineRef {
   std::uint64_t line = 0;
   std::uint32_t mask = 0;
@@ -30,16 +30,14 @@ struct CoalesceResult {
   std::uint32_t lines = 0;           // entries written to line_out
 };
 
-// The shared coalescing primitive of the replay pipeline (two-pass shards,
-// the fused record+replay path and MemorySim::access all charge through
-// it): sorts the lane addresses in place (skipped when the record phase
-// already saw them sorted — the common small-stride warp pattern), then a
-// single pass yields the distinct-address count (atomic-conflict
-// serialization), the distinct-sector count (transactions) and the
-// ascending (line, sector-mask) list. `spl_shift` = log2(sectors per
+// The shared coalescing primitive (GpuSim's charge path and
+// MemorySim::access both charge through it): sorts the lane addresses in
+// place, then a single pass yields the distinct-address count (atomic-
+// conflict serialization), the distinct-sector count (transactions) and
+// the ascending (line, sector-mask) list. `spl_shift` = log2(sectors per
 // line). `line_out` must hold 32 entries.
 inline CoalesceResult coalesce_warp_lanes(std::uint64_t* lane_addrs,
-                                          std::uint32_t lanes, bool presorted,
+                                          std::uint32_t lanes,
                                           std::uint32_t spl_shift,
                                           WarpLineRef* line_out) {
   constexpr std::uint32_t kSectorShift = 5;  // SectoredCache::kSectorBytes
@@ -49,17 +47,15 @@ inline CoalesceResult coalesce_warp_lanes(std::uint64_t* lane_addrs,
                    1u << (sector & ((1u << spl_shift) - 1))};
     return {1, 1, 1};
   }
-  if (!presorted) {
-    // Insertion sort: n <= 32 and warp patterns are mostly presorted
-    // (consecutive lanes touch consecutive elements).
-    for (std::uint32_t i = 1; i < lanes; ++i) {
-      const std::uint64_t key = lane_addrs[i];
-      std::uint32_t j = i;
-      for (; j > 0 && lane_addrs[j - 1] > key; --j) {
-        lane_addrs[j] = lane_addrs[j - 1];
-      }
-      lane_addrs[j] = key;
+  // Insertion sort: n <= 32 and warp patterns are mostly presorted
+  // (consecutive lanes touch consecutive elements).
+  for (std::uint32_t i = 1; i < lanes; ++i) {
+    const std::uint64_t key = lane_addrs[i];
+    std::uint32_t j = i;
+    for (; j > 0 && lane_addrs[j - 1] > key; --j) {
+      lane_addrs[j] = lane_addrs[j - 1];
     }
+    lane_addrs[j] = key;
   }
   CoalesceResult r;
   const std::uint32_t sector_in_line_mask = (1u << spl_shift) - 1;
@@ -177,9 +173,8 @@ class MemorySim {
   AccessResult access(int sm_id, std::span<const std::uint64_t> addresses,
                       bool cached);
 
-  // Direct handles for GpuSim's two-pass replay: each SM's L1 is private
-  // state (shards replay concurrently); the L2 is shared and must only be
-  // probed from the serial canonical-order pass.
+  // Direct handles for GpuSim's charge path: each SM's L1 and the shared
+  // L2, probed in canonical task order.
   SectoredCache& l1(int sm_id);
   SectoredCache& l2_cache() { return l2_; }
 

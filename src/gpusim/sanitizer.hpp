@@ -60,9 +60,9 @@
 //
 // Reports are deterministic and rank-stable: hazards are deduplicated by
 // (kind, kernel label, buffer, element, stream pair) in canonical discovery
-// order — the record phase and the end-of-launch scans are serial in task
-// order — so two runs (any sim_threads count) produce byte-identical
-// reports and CI diffs are meaningful.
+// order — kernel execution and the end-of-launch scans are serial in task
+// order — so two runs produce byte-identical reports and CI diffs are
+// meaningful.
 #pragma once
 
 #include <cstdint>
@@ -157,11 +157,10 @@ class Sanitizer {
   std::uint64_t checked_index(const std::string& buffer_name,
                               std::uint64_t index, std::uint64_t size,
                               std::uint32_t task);
-  // End-of-launch scan over the recorded trace (called after replay, before
-  // the trace is discarded). Serial; deterministic. Reads the trace through
-  // LaunchTrace's cursor API, so it is blind to the storage layout
-  // (compressed SoA or legacy AoS) — lane addresses decode in original lane
-  // order either way, keeping reports byte-identical across layouts.
+  // End-of-launch scan over the recorded trace (called by end_launch,
+  // before the trace is discarded). Serial; deterministic. Lane addresses
+  // decode in original lane order, so first-touch discovery order — and
+  // therefore the report — is fixed by the kernel alone.
   void scan_launch(const LaunchTrace& trace,
                    std::span<const TaskRecord> tasks);
 

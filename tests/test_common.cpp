@@ -187,6 +187,22 @@ TEST(Cli, DoubleParsing) {
   EXPECT_DOUBLE_EQ(args.get_double("delta", 1.0), 0.1);
 }
 
+TEST(Cli, UnreadNamesFlagsNeverLookedUp) {
+  const char* argv[] = {"prog", "--alpha=3", "--sourecs=8", "--flag",
+                        "--benchmark_filter=x"};
+  CliArgs args(5, const_cast<char**>(argv));
+  // Every given flag is unread until something looks it up.
+  EXPECT_EQ(args.unread(),
+            (std::vector<std::string>{"alpha", "flag", "sourecs"}));
+  EXPECT_EQ(args.get_int("alpha", 0), 3);
+  EXPECT_TRUE(args.has("flag"));  // a presence check counts as a read
+  // Looking up an absent flag neither fails nor adds to unread().
+  EXPECT_EQ(args.get_int("sources", 4), 4);
+  // The typo is what is left; --benchmark_* flags are passthrough, never
+  // unread.
+  EXPECT_EQ(args.unread(), std::vector<std::string>{"sourecs"});
+}
+
 TEST(Timer, MeasuresElapsedTime) {
   Timer t;
   volatile double sink = 0;

@@ -4,8 +4,8 @@
 // either recovers to BIT-IDENTICAL distances vs the fault-free run (which
 // the suite anchors to Dijkstra) or returns a typed failure — never wrong
 // distances, never a crash. Fault plans are pure functions of the config
-// seed and the record-phase counters, so the injected fault log must be
-// byte-identical across sim_threads, and a failing chaos run replays
+// seed and the simulator's launch/task/op counters, so the injected fault
+// log must be byte-identical across runs, and a failing chaos run replays
 // exactly from its seed.
 #include <gtest/gtest.h>
 
@@ -125,13 +125,11 @@ std::vector<Engine> all_engines() {
 
 core::GpuRunResult run_engine(Engine engine, const Csr& csr, VertexId source,
                               const gpusim::FaultConfig& fault,
-                              const core::RetryPolicy& retry,
-                              int sim_threads = 0) {
+                              const core::RetryPolicy& retry) {
   switch (engine) {
     case Engine::kRdbs: {
       core::GpuSsspOptions options;
       options.delta0 = 120.0;
-      options.sim_threads = sim_threads;
       options.fault = fault;
       options.retry = retry;
       core::RdbsSolver solver(csr, gpusim::test_device(), options);
@@ -143,7 +141,6 @@ core::GpuRunResult run_engine(Engine engine, const Csr& csr, VertexId source,
       options.basyn = false;
       options.pro = false;
       options.adwl = false;
-      options.sim_threads = sim_threads;
       options.fault = fault;
       options.retry = retry;
       core::RdbsSolver solver(csr, gpusim::test_device(), options);
@@ -152,7 +149,6 @@ core::GpuRunResult run_engine(Engine engine, const Csr& csr, VertexId source,
     case Engine::kAdds: {
       core::AddsOptions options;
       options.delta = 120.0;
-      options.sim_threads = sim_threads;
       options.fault = fault;
       options.retry = retry;
       core::AddsLike eng(gpusim::test_device(), csr, options);
@@ -230,7 +226,7 @@ TEST(FaultInjection, EverySweptEngineSurvivesEveryFaultClass) {
 
 // --- determinism ------------------------------------------------------------
 
-TEST(FaultInjection, FaultPlanByteIdenticalAcrossSimThreads) {
+TEST(FaultInjection, FaultPlanByteIdenticalAcrossRuns) {
   const Csr csr = chaos_graph();
   gpusim::FaultConfig cfg;
   cfg.enabled = true;
@@ -244,15 +240,14 @@ TEST(FaultInjection, FaultPlanByteIdenticalAcrossSimThreads) {
   retry.max_attempts = 5;
 
   for (const Engine engine : {Engine::kRdbs, Engine::kAdds}) {
-    const core::GpuRunResult serial =
-        run_engine(engine, csr, /*source=*/3, cfg, retry, /*sim_threads=*/1);
-    const core::GpuRunResult parallel =
-        run_engine(engine, csr, /*source=*/3, cfg, retry, /*sim_threads=*/8);
-    EXPECT_EQ(fault_plan(serial), fault_plan(parallel))
-        << engine_name(engine);
-    EXPECT_EQ(serial.sssp.distances, parallel.sssp.distances);
-    EXPECT_EQ(serial.recovery.retries, parallel.recovery.retries);
-    EXPECT_EQ(serial.recovery.cpu_fallbacks, parallel.recovery.cpu_fallbacks);
+    const core::GpuRunResult first =
+        run_engine(engine, csr, /*source=*/3, cfg, retry);
+    const core::GpuRunResult second =
+        run_engine(engine, csr, /*source=*/3, cfg, retry);
+    EXPECT_EQ(fault_plan(first), fault_plan(second)) << engine_name(engine);
+    EXPECT_EQ(first.sssp.distances, second.sssp.distances);
+    EXPECT_EQ(first.recovery.retries, second.recovery.retries);
+    EXPECT_EQ(first.recovery.cpu_fallbacks, second.recovery.cpu_fallbacks);
   }
 }
 
@@ -802,8 +797,8 @@ TEST(FaultInjection, CheckpointingChargesTheClockAndKeepsDistancesExact) {
 }
 
 // The resume path must be as deterministic as everything else: same seed,
-// same resumed count, same fault plan, same distances for any sim_threads.
-TEST(FaultInjection, CheckpointResumeBitIdenticalAcrossSimThreads) {
+// same resumed count, same fault plan, same distances on every run.
+TEST(FaultInjection, CheckpointResumeBitIdenticalAcrossRuns) {
   const Csr csr = chaos_graph();
   gpusim::FaultConfig cfg;
   cfg.enabled = true;
@@ -814,10 +809,9 @@ TEST(FaultInjection, CheckpointResumeBitIdenticalAcrossSimThreads) {
   retry.max_attempts = 6;
 
   std::vector<core::GpuRunResult> results;
-  for (const int sim_threads : {1, 8}) {
+  for (int run = 0; run < 2; ++run) {
     core::GpuSsspOptions options;
     options.delta0 = 120.0;
-    options.sim_threads = sim_threads;
     options.fault = cfg;
     options.retry = retry;
     options.checkpoint_interval = 1;

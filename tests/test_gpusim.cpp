@@ -1,9 +1,15 @@
 // Unit tests for the SIMT simulator: cache behaviour, coalescing, counter
-// accounting, divergence, scheduling and the cost model's invariants.
+// accounting, divergence, scheduling and the cost model's invariants —
+// including the heap-based dynamic scheduler against a linear argmin, the
+// sorted conflict scan against an O(n^2) count, and run-to-run identity of
+// a persistent kernel whose task list grows mid-launch.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "gpusim/cache.hpp"
 #include "gpusim/sim.hpp"
 
@@ -290,6 +296,131 @@ TEST(KernelScopeTest, ManualLifecycleMatchesRunKernel) {
   }
   EXPECT_DOUBLE_EQ(a.elapsed_ms(), b.elapsed_ms());
   EXPECT_EQ(a.counters().alu_instructions, b.counters().alu_instructions);
+}
+
+// --- run_persistent with a growing task list -------------------------------
+
+struct PersistentObservation {
+  LaunchResult launch;
+  Counters counters;
+  std::vector<std::uint32_t> cells;
+};
+
+// A persistent kernel whose workers push new tasks mid-launch (the BASYN
+// phase-1 shape): every task atomically touches a strided cell and, while
+// the frontier lasts, appends two children.
+PersistentObservation run_persistent_workload() {
+  GpuSim sim(test_device());
+  Buffer<std::uint32_t> cells = sim.alloc<std::uint32_t>("cells", 4096);
+  std::vector<std::uint64_t> tasks{0, 1, 2, 3};
+  const LaunchResult launch = sim.run_persistent(tasks, [&](WarpCtx& ctx,
+                                                            std::uint64_t i) {
+    const std::uint64_t id = tasks[i];
+    ctx.alu(1 + static_cast<std::uint32_t>(id % 7));
+    std::array<std::uint64_t, 32> idx;
+    for (std::uint32_t lane = 0; lane < 32; ++lane) {
+      idx[lane] = (id * 97 + lane * (1 + id % 3)) % cells.size();
+      cells[idx[lane]] += 1;  // host-maintained side effect
+    }
+    ctx.atomic_touch(cells, std::span<const std::uint64_t>(idx));
+    if (tasks.size() < 300) {
+      ctx.child_launch();
+      tasks.push_back(id * 2 + 5);
+      tasks.push_back(id * 3 + 1);
+    }
+  });
+  return {launch, sim.counters(), cells.data()};
+}
+
+TEST(SimInvariants, PersistentGrowingTaskListDeterministic) {
+  const PersistentObservation first = run_persistent_workload();
+  EXPECT_GT(first.launch.tasks, 4u);  // the list actually grew
+  const PersistentObservation second = run_persistent_workload();
+  EXPECT_TRUE(second.counters == first.counters);
+  EXPECT_EQ(second.launch.ms, first.launch.ms);
+  EXPECT_EQ(second.launch.busy_cycles, first.launch.busy_cycles);
+  EXPECT_EQ(second.launch.tasks, first.launch.tasks);
+  EXPECT_EQ(second.cells, first.cells);
+}
+
+// --- heap-based dynamic scheduler vs. linear argmin ------------------------
+
+// Reference model of kDynamic placement: least-loaded SM under the
+// scheduling weight metric, strict-< argmin so ties break toward the lowest
+// SM index — exactly what the pre-heap linear scan computed.
+void check_dynamic_placement(const DeviceSpec& spec, std::uint64_t seed) {
+  GpuSim sim(spec);
+  Xoshiro256 rng(seed);
+  constexpr int kTasks = 2000;
+  std::vector<std::uint32_t> weights(kTasks);
+  for (auto& w : weights) {
+    w = 1 + static_cast<std::uint32_t>(rng.next_below(50));
+  }
+
+  std::vector<int> assigned;
+  assigned.reserve(kTasks);
+  KernelScope scope(sim, Schedule::kDynamic);
+  for (int t = 0; t < kTasks; ++t) {
+    WarpCtx ctx = scope.make_warp();
+    assigned.push_back(ctx.sm_id());
+    ctx.alu(weights[t]);  // task weight == alu instruction count
+    scope.commit(ctx);
+  }
+  scope.finish();
+
+  std::vector<std::uint64_t> load(static_cast<std::size_t>(spec.num_sms), 0);
+  for (int t = 0; t < kTasks; ++t) {
+    int argmin = 0;
+    for (int sm = 1; sm < spec.num_sms; ++sm) {
+      if (load[sm] < load[argmin]) argmin = sm;
+    }
+    ASSERT_EQ(assigned[t], argmin) << "task " << t;
+    load[argmin] += weights[t];
+  }
+}
+
+TEST(SimInvariants, DynamicSchedulerMatchesLinearArgminTestDevice) {
+  check_dynamic_placement(test_device(), /*seed=*/7);
+}
+
+TEST(SimInvariants, DynamicSchedulerMatchesLinearArgminV100) {
+  check_dynamic_placement(v100(), /*seed=*/11);
+}
+
+// --- sorted conflict scan vs. O(n^2) reference -----------------------------
+
+TEST(SimInvariants, AtomicConflictCountMatchesQuadraticReference) {
+  GpuSim sim(test_device());
+  Buffer<std::uint32_t> buf = sim.alloc<std::uint32_t>("buf", 512);
+  Xoshiro256 rng(13);
+  std::uint64_t expected_conflicts = 0;
+  sim.run_kernel(
+      Schedule::kDynamic, /*num_tasks=*/200, /*warps_per_block=*/1,
+      [&](WarpCtx& ctx, std::uint64_t) {
+        const std::uint32_t lanes =
+            1 + static_cast<std::uint32_t>(rng.next_below(32));
+        std::array<std::uint64_t, 32> idx;
+        for (std::uint32_t i = 0; i < lanes; ++i) {
+          // Small modulus: heavy duplication, the worst case for the scan.
+          idx[i] = rng.next_below(1 + rng.next_below(40));
+        }
+        // Reference: conflicts = lanes - distinct element addresses.
+        std::uint32_t distinct = 0;
+        for (std::uint32_t i = 0; i < lanes; ++i) {
+          bool seen = false;
+          for (std::uint32_t j = 0; j < i; ++j) {
+            if (idx[j] == idx[i]) {
+              seen = true;
+              break;
+            }
+          }
+          if (!seen) ++distinct;
+        }
+        expected_conflicts += lanes - distinct;
+        ctx.atomic_touch(buf,
+                         std::span<const std::uint64_t>(idx.data(), lanes));
+      });
+  EXPECT_EQ(sim.counters().atomic_conflicts, expected_conflicts);
 }
 
 }  // namespace

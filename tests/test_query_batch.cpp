@@ -1,8 +1,8 @@
 // QueryBatch and gpusim stream semantics.
 //
 // The load-bearing property is at the top: a batch of K sources must be
-// BIT-IDENTICAL to K sequential single-query runs, for every sim_threads
-// and stream count — concurrent streams repartition simulated time, never
+// BIT-IDENTICAL to K sequential single-query runs, for every stream
+// count — concurrent streams repartition simulated time, never
 // functional state. The gpusim-level tests below pin the stream model
 // itself: overlap shrinks elapsed time, the concurrent-kernel cap
 // serializes and records queue wait, and a single-stream user sees exactly
@@ -32,7 +32,7 @@ std::vector<VertexId> batch_test_sources() { return {0, 17, 113, 256, 399}; }
 
 // --- batch determinism ------------------------------------------------------
 
-TEST(QueryBatch, BatchBitIdenticalToSequentialForThreadsAndStreams) {
+TEST(QueryBatch, BatchBitIdenticalToSequentialForEveryStreamCount) {
   const Csr csr = batch_test_graph();
   const std::vector<VertexId> sources = batch_test_sources();
 
@@ -53,20 +53,17 @@ TEST(QueryBatch, BatchBitIdenticalToSequentialForThreadsAndStreams) {
     EXPECT_EQ(reference[i], sssp::dijkstra(csr, sources[i]).distances);
   }
 
-  for (const int sim_threads : {1, 8}) {
-    for (const int streams : {1, 4}) {
-      core::QueryBatchOptions options;
-      options.streams = streams;
-      options.gpu = gpu;
-      options.gpu.sim_threads = sim_threads;
-      core::QueryBatch batch(csr, gpusim::test_device(), options);
-      const core::BatchResult result = batch.run(sources);
-      ASSERT_EQ(result.queries.size(), sources.size());
-      for (std::size_t i = 0; i < sources.size(); ++i) {
-        EXPECT_EQ(result.queries[i].sssp.distances, reference[i])
-            << "sim_threads=" << sim_threads << " streams=" << streams
-            << " query " << i << " (source " << sources[i] << ")";
-      }
+  for (const int streams : {1, 4}) {
+    core::QueryBatchOptions options;
+    options.streams = streams;
+    options.gpu = gpu;
+    core::QueryBatch batch(csr, gpusim::test_device(), options);
+    const core::BatchResult result = batch.run(sources);
+    ASSERT_EQ(result.queries.size(), sources.size());
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      EXPECT_EQ(result.queries[i].sssp.distances, reference[i])
+          << "streams=" << streams << " query " << i << " (source "
+          << sources[i] << ")";
     }
   }
 }

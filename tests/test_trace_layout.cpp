@@ -1,12 +1,10 @@
-// Differential tests for the trace-layout / replay-mode matrix
-// (docs/costmodel.md, "Replay pipeline"): the legacy AoS layout (the seed
-// pipeline, per-sector scalar probes), the compressed SoA layout (batched
-// line probes, binned L2 scan) and the fused record+replay mode must be
-// observationally indistinguishable — bit-identical counters and launch
-// times, byte-identical gsan hazard reports, identical gfi fault decisions
-// — across replay worker counts. A seeded pseudo-random workload sweeps
-// the op-kind and access-pattern space so the equivalence is exercised
-// well beyond what the engine goldens cover.
+// gsan-on vs gsan-off equivalence (docs/costmodel.md, "Charge path"):
+// every launch is charged inline, and the sanitizer only adds a recorded
+// trace that it scans at end_launch. Turning gsan on must therefore change
+// nothing else — identical counters, per-launch times, fault decisions and
+// distances — while the recorded trace stays compact. A seeded mixed
+// workload sweeps the op-kind and access-pattern space; RDBS and ADDS
+// solves on a kron and a road surrogate cover the engines.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -15,6 +13,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/adds.hpp"
 #include "core/rdbs.hpp"
 #include "gpusim/sim.hpp"
 #include "graph/surrogates.hpp"
@@ -22,30 +21,10 @@
 namespace rdbs::gpusim {
 namespace {
 
-struct PipelineUnderTest {
-  const char* name;
-  TraceLayout layout;
-  ReplayMode mode;
-  int threads;
-};
-
-// The full matrix: seed pipeline, overhauled two-pass, fused — serial and
-// with a worker team (workers are irrelevant to fused launches but must
-// stay harmless).
-const PipelineUnderTest kMatrix[] = {
-    {"legacy/two-pass/1", TraceLayout::kLegacy, ReplayMode::kTwoPass, 1},
-    {"legacy/two-pass/8", TraceLayout::kLegacy, ReplayMode::kTwoPass, 8},
-    {"compressed/two-pass/1", TraceLayout::kCompressed, ReplayMode::kTwoPass,
-     1},
-    {"compressed/two-pass/8", TraceLayout::kCompressed, ReplayMode::kTwoPass,
-     8},
-    {"compressed/fused/1", TraceLayout::kCompressed, ReplayMode::kAuto, 1},
-    {"compressed/fused/8", TraceLayout::kCompressed, ReplayMode::kAuto, 8},
-};
-
 struct Observation {
   Counters counters;
-  double total_ms = 0;
+  std::vector<double> launch_ms;
+  std::vector<float> data;
   std::string hazard_report;
   std::vector<std::string> faults;
   TraceStats stats;
@@ -55,12 +34,8 @@ struct Observation {
 // atomics, volatile accesses and plain stores whose address ranges overlap
 // across tasks (so the sanitizer has real races to report) — across several
 // launches so cross-launch cache state is covered too.
-Observation run_workload(const PipelineUnderTest& p, bool sanitize,
-                         bool inject_faults) {
+Observation run_workload(bool sanitize, bool inject_faults) {
   GpuSim sim(test_device());
-  sim.set_trace_layout(p.layout);
-  sim.set_replay_mode(p.mode);
-  sim.set_worker_threads(p.threads);
   if (sanitize) sim.enable_sanitizer(SanitizeMode::kOn);
   if (inject_faults) {
     FaultConfig fc;
@@ -126,9 +101,10 @@ Observation run_workload(const PipelineUnderTest& p, bool sanitize,
           }
           ctx.alu(2);
         });
-    obs.total_ms += r.ms;
+    obs.launch_ms.push_back(r.ms);
   }
   obs.counters = sim.counters();
+  obs.data = data.data();
   if (sim.sanitizer() != nullptr) {
     obs.hazard_report = sim.sanitizer()->report();
   }
@@ -139,105 +115,138 @@ Observation run_workload(const PipelineUnderTest& p, bool sanitize,
   return obs;
 }
 
-void expect_equal(const Observation& actual, const Observation& reference,
-                  const char* name) {
-  EXPECT_TRUE(actual.counters == reference.counters) << name;
-  EXPECT_EQ(actual.total_ms, reference.total_ms) << name;
-  EXPECT_EQ(actual.hazard_report, reference.hazard_report) << name;
-  EXPECT_EQ(actual.faults, reference.faults) << name;
-}
-
-TEST(TraceLayout, CountersAndTimesMatchAcrossMatrix) {
-  const Observation reference =
-      run_workload(kMatrix[0], /*sanitize=*/false, /*inject_faults=*/false);
-  // The kAuto configurations must actually have fused (no sanitizer
-  // attached), otherwise this test is not covering the fused path.
-  for (const PipelineUnderTest& p : kMatrix) {
-    const Observation obs = run_workload(p, false, false);
-    if (p.mode == ReplayMode::kAuto) {
-      EXPECT_EQ(obs.stats.fused_launches, obs.stats.launches) << p.name;
-    } else {
-      EXPECT_EQ(obs.stats.fused_launches, 0u) << p.name;
-    }
-    expect_equal(obs, reference, p.name);
+void expect_sanitizer_only_observes(bool inject_faults) {
+  const Observation off = run_workload(/*sanitize=*/false, inject_faults);
+  const Observation on = run_workload(/*sanitize=*/true, inject_faults);
+  EXPECT_TRUE(on.counters == off.counters);
+  EXPECT_EQ(on.launch_ms, off.launch_ms);
+  EXPECT_EQ(on.data, off.data);
+  EXPECT_EQ(on.faults, off.faults);
+  if (inject_faults) {
+    EXPECT_FALSE(off.faults.empty());
   }
+  // The trace is recorded only under gsan, and gsan found the seeded races.
+  EXPECT_EQ(off.stats.peak_trace_bytes, 0u);
+  EXPECT_GT(on.stats.peak_trace_bytes, 0u);
+  EXPECT_FALSE(on.hazard_report.empty());
 }
 
-TEST(TraceLayout, SanitizerReportsIdenticalAcrossLayouts) {
-  // The sanitizer pins launches to two-pass (it scans the materialized
-  // trace), so this compares the two layouts' OpCursor decode paths.
-  const Observation reference =
-      run_workload(kMatrix[0], /*sanitize=*/true, /*inject_faults=*/false);
-  EXPECT_FALSE(reference.hazard_report.empty());
-  for (const PipelineUnderTest& p : kMatrix) {
-    const Observation obs = run_workload(p, true, false);
-    EXPECT_EQ(obs.stats.fused_launches, 0u) << p.name;  // sanitizer => trace
-    expect_equal(obs, reference, p.name);
-  }
+TEST(GsanTrace, MixedWorkloadIdenticalWithSanitizerOnAndOff) {
+  expect_sanitizer_only_observes(/*inject_faults=*/false);
 }
 
-TEST(TraceLayout, FaultDecisionsIdenticalAcrossMatrix) {
-  const Observation reference =
-      run_workload(kMatrix[0], /*sanitize=*/false, /*inject_faults=*/true);
-  EXPECT_FALSE(reference.faults.empty());
-  for (const PipelineUnderTest& p : kMatrix) {
-    const Observation obs = run_workload(p, false, true);
-    expect_equal(obs, reference, p.name);
-  }
+TEST(GsanTrace, MixedWorkloadUnderFaultPlanIdenticalWithSanitizerOnAndOff) {
+  expect_sanitizer_only_observes(/*inject_faults=*/true);
 }
 
-TEST(TraceLayout, CompressedTraceAtLeast4xSmallerOnWarpLocalOps) {
-  // The capacity claim behind the SCALE-21 row: on the engine's dominant
-  // access shape (warp-local small strides) the delta/varint stream plus
-  // per-op meta bytes must undercut the AoS layout by >= 4x.
+TEST(GsanTrace, CompressedTraceAtLeast4xSmallerThanAos) {
+  // The capacity claim behind the sanitized SCALE-21 run: on the engine's
+  // dominant access shape (warp-local small strides) the delta/varint
+  // stream plus per-op kind and lane bytes must undercut an array-of-
+  // structs trace (an 8-byte op record plus 8 bytes per lane) by >= 4x.
+  constexpr std::uint64_t kTasks = 256;
+  constexpr std::uint64_t kLanes = 32;
+  constexpr std::uint64_t kAosOpRecordBytes = 8;
   GpuSim sim(test_device());
-  sim.set_trace_layout(TraceLayout::kCompressed);
-  sim.set_replay_mode(ReplayMode::kTwoPass);  // materialize the trace
+  sim.enable_sanitizer(SanitizeMode::kOn);
   auto data = sim.alloc<float>("data", 1 << 16);
-  sim.run_kernel(Schedule::kDynamic, 256, 4,
+  sim.mark_initialized(data);
+  sim.run_kernel(Schedule::kDynamic, kTasks, 4,
                  [&](WarpCtx& ctx, std::uint64_t t) {
-                   std::array<std::uint64_t, 32> idx;
-                   std::array<float, 32> out;
-                   for (std::uint32_t l = 0; l < 32; ++l) {
-                     idx[l] = (t * 32 + l) % data.size();
+                   std::array<std::uint64_t, kLanes> idx;
+                   std::array<float, kLanes> out;
+                   for (std::uint32_t l = 0; l < kLanes; ++l) {
+                     idx[l] = (t * kLanes + l) % data.size();
                    }
-                   ctx.load(data, idx, std::span<float>(out.data(), 32));
+                   ctx.load(data, idx, std::span<float>(out));
                  });
-  const TraceStats& stats = sim.trace_stats();
-  ASSERT_GT(stats.peak_trace_bytes, 0u);
-  EXPECT_GE(stats.peak_legacy_bytes, 4 * stats.peak_trace_bytes);
+  const std::uint64_t aos_bytes =
+      kTasks * (kAosOpRecordBytes + kLanes * sizeof(std::uint64_t));
+  const std::uint64_t trace_bytes = sim.trace_stats().peak_trace_bytes;
+  ASSERT_GT(trace_bytes, 0u);
+  EXPECT_GE(aos_bytes, 4 * trace_bytes);
 }
 
-// Engine-level cross-check: full RDBS solves must agree across the matrix
-// (distances, counters, modeled time) — the layout/mode knobs must be
-// invisible to everything above the simulator.
-TEST(TraceLayout, EngineResultsMatchAcrossMatrix) {
+// gsan reports hazards in first-touch order, which follows each op's
+// original lane order. The charge path sorts the staged lanes in place to
+// coalesce them, so the trace must take its copy before the charge.
+TEST(GsanTrace, ReportFollowsOriginalLaneOrder) {
+  GpuSim sim(test_device());
+  sim.enable_sanitizer(SanitizeMode::kOn);
+  auto data = sim.alloc<std::uint32_t>("data", 64);
+  sim.mark_initialized(data);
+  sim.run_kernel(Schedule::kStatic, /*num_tasks=*/2, /*warps_per_block=*/1,
+                 [&](WarpCtx& ctx, std::uint64_t) {
+                   // Descending lanes: sorting would reverse the report.
+                   const std::array<std::uint64_t, 3> idx = {40, 20, 0};
+                   const std::array<std::uint32_t, 3> val = {1, 2, 3};
+                   ctx.store(data, idx, std::span<const std::uint32_t>(val));
+                 });
+  const std::string report = sim.sanitizer()->report();
+  const std::size_t first = report.find("elem=40 ");
+  const std::size_t last = report.find("elem=0 ");
+  ASSERT_NE(first, std::string::npos) << report;
+  ASSERT_NE(last, std::string::npos) << report;
+  EXPECT_LT(first, last) << report;
+}
+
+// Engine-level check: full solves with gsan on and off must agree on
+// distances, counters and modeled time, and the engines stay hazard-free.
+// Both graph families: the power-law kron surrogate (few wide frontiers)
+// and the road surrogate (many narrow ones, so many more launches).
+graph::Csr engine_graph(const std::string& name) {
   graph::LoadOptions load;
   load.size_scale = -1;
   load.weights = graph::WeightScheme::kUniformInt1To1000;
   load.seed = 42;
-  const graph::Csr csr = graph::load_dataset_by_name("k-n21-16", load);
+  return graph::load_dataset_by_name(name, load);
+}
 
-  auto solve = [&](const PipelineUnderTest& p) {
-    GpuSim::set_default_trace_layout(p.layout);
-    GpuSim::set_default_replay_mode(p.mode);
+void expect_same_run(const core::GpuRunResult& on,
+                     const core::GpuRunResult& off) {
+  EXPECT_TRUE(on.counters == off.counters);
+  EXPECT_EQ(on.device_ms, off.device_ms);
+  EXPECT_EQ(on.sssp.distances, off.sssp.distances);
+  EXPECT_EQ(on.sanitizer_report, "");
+}
+
+void expect_rdbs_sanitizer_only_observes(const std::string& dataset) {
+  const graph::Csr csr = engine_graph(dataset);
+  auto solve = [&](SanitizeMode mode) {
     core::GpuSsspOptions options;
     options.basyn = options.pro = options.adwl = true;
-    options.sim_threads = p.threads;
+    options.sanitize = mode;
     core::RdbsSolver solver(csr, test_device(), options);
     return solver.solve(/*source=*/3);
   };
+  expect_same_run(solve(SanitizeMode::kOn), solve(SanitizeMode::kOff));
+}
 
-  const core::GpuRunResult reference = solve(kMatrix[0]);
-  for (std::size_t i = 1; i < std::size(kMatrix); ++i) {
-    const core::GpuRunResult result = solve(kMatrix[i]);
-    EXPECT_TRUE(result.counters == reference.counters) << kMatrix[i].name;
-    EXPECT_EQ(result.device_ms, reference.device_ms) << kMatrix[i].name;
-    ASSERT_EQ(result.sssp.distances, reference.sssp.distances)
-        << kMatrix[i].name;
-  }
-  GpuSim::set_default_trace_layout(TraceLayout::kCompressed);
-  GpuSim::set_default_replay_mode(ReplayMode::kAuto);
+void expect_adds_sanitizer_only_observes(const std::string& dataset) {
+  const graph::Csr csr = engine_graph(dataset);
+  auto solve = [&](SanitizeMode mode) {
+    core::AddsOptions options;
+    options.sanitize = mode;
+    core::AddsLike adds(test_device(), csr, options);
+    return adds.run(/*source=*/3);
+  };
+  expect_same_run(solve(SanitizeMode::kOn), solve(SanitizeMode::kOff));
+}
+
+TEST(GsanTrace, RdbsSolveIdenticalWithSanitizerOnAndOff) {
+  expect_rdbs_sanitizer_only_observes("k-n21-16");
+}
+
+TEST(GsanTrace, RdbsRoadSolveIdenticalWithSanitizerOnAndOff) {
+  expect_rdbs_sanitizer_only_observes("road-TX");
+}
+
+TEST(GsanTrace, AddsSolveIdenticalWithSanitizerOnAndOff) {
+  expect_adds_sanitizer_only_observes("k-n21-16");
+}
+
+TEST(GsanTrace, AddsRoadSolveIdenticalWithSanitizerOnAndOff) {
+  expect_adds_sanitizer_only_observes("road-TX");
 }
 
 }  // namespace
