@@ -63,7 +63,7 @@ bool completed(core::QueryStatus status) {
 }
 
 struct Row {
-  int load = 0;  // offered queries per lane
+  int load = 0;  // queries per lane (burst) or multiple of capacity (stream)
   bool breakers = false;
   std::size_t offered = 0;
   std::size_t done = 0;
@@ -136,34 +136,72 @@ int main(int argc, char** argv) {
   bool deadline_bounded = true;
   bool distances_ok = true;
   std::map<graph::VertexId, std::vector<graph::Weight>> oracle;
-  const auto check = [&](const core::ServerResult& result,
-                         const std::vector<core::ServerQuery>& offered) {
-    for (std::size_t i = 0; i < offered.size(); ++i) {
-      const core::ServerQueryStats& sq = result.stats[i];
-      if (!completed(sq.query.status)) continue;
+  // Completed queries must finish by their deadline with oracle-exact
+  // distances; every other query must carry no distances at all.
+  const auto check = [&](const core::StreamResult& result, const char* label) {
+    for (std::size_t i = 0; i < result.stats.size(); ++i) {
+      const core::StreamQueryStats& sq = result.stats[i];
+      if (!completed(sq.query.status)) {
+        if (!result.queries[i].sssp.distances.empty()) {
+          std::fprintf(stderr,
+                       "VIOLATION: %s query %zu did not complete but "
+                       "reported distances\n",
+                       label, i);
+          distances_ok = false;
+        }
+        continue;
+      }
       if (std::isfinite(sq.deadline_ms) &&
           sq.finish_ms > sq.deadline_ms + 1e-9) {
         std::fprintf(stderr,
-                     "VIOLATION: completed query %zu finished at %.4f ms, "
-                     "past its %.4f ms deadline\n",
-                     i, sq.finish_ms, sq.deadline_ms);
+                     "VIOLATION: %s completed query %zu finished at %.4f "
+                     "ms, past its %.4f ms deadline\n",
+                     label, i, sq.finish_ms, sq.deadline_ms);
         deadline_bounded = false;
       }
-      auto it = oracle.find(offered[i].source);
+      const graph::VertexId source = sq.query.source;
+      auto it = oracle.find(source);
       if (it == oracle.end()) {
-        it = oracle
-                 .emplace(offered[i].source,
-                          sssp::dijkstra(csr, offered[i].source).distances)
+        it = oracle.emplace(source, sssp::dijkstra(csr, source).distances)
                  .first;
       }
       if (result.queries[i].sssp.distances != it->second) {
         std::fprintf(stderr,
-                     "VIOLATION: completed query %zu (source %u) distances "
-                     "differ from the Dijkstra reference\n",
-                     i, offered[i].source);
+                     "VIOLATION: %s completed query %zu (source %u) "
+                     "distances differ from the Dijkstra reference\n",
+                     label, i, source);
         distances_ok = false;
       }
     }
+  };
+
+  const auto make_row = [](int load, bool breakers,
+                           const core::StreamResult& result) {
+    Row row;
+    row.load = load;
+    row.breakers = breakers;
+    row.offered = result.stats.size();
+    row.done = static_cast<std::size_t>(
+        result.ok_queries + result.recovered_queries +
+        result.fallback_queries);
+    row.shed = static_cast<std::size_t>(result.shed_queries);
+    row.missed = static_cast<std::size_t>(result.deadline_queries);
+    row.hedged = static_cast<std::size_t>(result.hedged_queries);
+    row.rerouted = static_cast<std::size_t>(result.rerouted_queries);
+    for (const core::BreakerEvent& event : result.breaker_events) {
+      if (event.transition == core::BreakerTransition::kOpen ||
+          event.transition == core::BreakerTransition::kReopen) {
+        ++row.breaker_trips;
+      }
+    }
+    std::vector<double> sojourn;
+    for (const core::StreamQueryStats& sq : result.stats) {
+      if (completed(sq.query.status)) sojourn.push_back(sq.sojourn_ms);
+    }
+    row.p50 = percentile(sojourn, 0.50);
+    row.p95 = percentile(sojourn, 0.95);
+    row.p99 = percentile(sojourn, 0.99);
+    return row;
   };
 
   // --- result-cache sweep ---------------------------------------------------
@@ -346,36 +384,9 @@ int main(int argc, char** argv) {
         q.source = sources[static_cast<std::size_t>(i)];
         offered.push_back(q);
       }
-      const core::ServerResult result = server.run(offered);
-      check(result, offered);
-
-      Row row;
-      row.load = load;
-      row.breakers = breakers;
-      row.offered = offered.size();
-      row.hedged = result.hedged_queries;
-      row.rerouted = result.rerouted_queries;
-      for (const core::BreakerEvent& event : result.breaker_events) {
-        if (event.transition == core::BreakerTransition::kOpen ||
-            event.transition == core::BreakerTransition::kReopen) {
-          ++row.breaker_trips;
-        }
-      }
-      std::vector<double> sojourn;
-      for (const core::ServerQueryStats& sq : result.stats) {
-        if (completed(sq.query.status)) {
-          ++row.done;
-          sojourn.push_back(sq.finish_ms);
-        } else if (sq.query.status == core::QueryStatus::kShedded) {
-          ++row.shed;
-        } else if (sq.query.status == core::QueryStatus::kDeadlineExceeded) {
-          ++row.missed;
-        }
-      }
-      row.p50 = percentile(sojourn, 0.50);
-      row.p95 = percentile(sojourn, 0.95);
-      row.p99 = percentile(sojourn, 0.99);
-      rows.push_back(row);
+      const core::StreamResult result = server.run(offered);
+      check(result, "overload");
+      rows.push_back(make_row(load, breakers, result));
     }
   }
 
@@ -405,35 +416,9 @@ int main(int argc, char** argv) {
       q.deadline_ms = 100.0 * deadline_ms;
       offered.push_back(q);
     }
-    const core::ServerResult result = server.run(offered);
-    check(result, offered);
-
-    Row& row = fault_rows[breakers ? 0 : 1];
-    row.load = max_load;
-    row.breakers = breakers;
-    row.offered = offered.size();
-    row.hedged = result.hedged_queries;
-    row.rerouted = result.rerouted_queries;
-    for (const core::BreakerEvent& event : result.breaker_events) {
-      if (event.transition == core::BreakerTransition::kOpen ||
-          event.transition == core::BreakerTransition::kReopen) {
-        ++row.breaker_trips;
-      }
-    }
-    std::vector<double> sojourn;
-    for (const core::ServerQueryStats& sq : result.stats) {
-      if (completed(sq.query.status)) {
-        ++row.done;
-        sojourn.push_back(sq.finish_ms);
-      } else if (sq.query.status == core::QueryStatus::kShedded) {
-        ++row.shed;
-      } else if (sq.query.status == core::QueryStatus::kDeadlineExceeded) {
-        ++row.missed;
-      }
-    }
-    row.p50 = percentile(sojourn, 0.50);
-    row.p95 = percentile(sojourn, 0.95);
-    row.p99 = percentile(sojourn, 0.99);
+    const core::StreamResult result = server.run(offered);
+    check(result, "breaker-fault");
+    fault_rows[breakers ? 0 : 1] = make_row(max_load, breakers, result);
   }
 
   // Degraded-routing determinism sweep: trip lane 0 up front, then verify
@@ -441,7 +426,7 @@ int main(int argc, char** argv) {
   // stream counts (lane packing legitimately shifts statuses between
   // layouts).
   for (const int sweep_streams : {2, 4}) {
-    std::vector<core::ServerResult> runs;
+    std::vector<core::StreamResult> runs;
     std::vector<core::ServerQuery> offered;
     for (int i = 0; i < 2 * sweep_streams; ++i) {
       core::ServerQuery q;
@@ -457,7 +442,7 @@ int main(int argc, char** argv) {
       core::QueryServer server(csr, device, sopts);
       server.trip_lane(0);
       runs.push_back(server.run(offered));
-      check(runs.back(), offered);
+      check(runs.back(), "tripped-lane");
     }
     for (std::size_t i = 0; i < offered.size(); ++i) {
       if (runs[0].queries[i].sssp.distances !=
@@ -542,75 +527,6 @@ int main(int argc, char** argv) {
         return server.run_stream(schedule);
       };
 
-  const auto check_stream = [&](const core::StreamResult& result,
-                                std::span<const core::TrafficQuery> schedule,
-                                const char* label) {
-    for (std::size_t i = 0; i < schedule.size(); ++i) {
-      const core::StreamQueryStats& sq = result.stats[i];
-      if (!completed(sq.query.status)) {
-        if (!result.queries[i].sssp.distances.empty()) {
-          std::fprintf(stderr,
-                       "VIOLATION: %s query %zu did not complete but "
-                       "reported distances\n",
-                       label, i);
-          distances_ok = false;
-        }
-        continue;
-      }
-      if (std::isfinite(sq.deadline_ms) &&
-          sq.finish_ms > sq.deadline_ms + 1e-9) {
-        std::fprintf(stderr,
-                     "VIOLATION: %s completed query %zu finished at %.4f "
-                     "ms, past its %.4f ms deadline\n",
-                     label, i, sq.finish_ms, sq.deadline_ms);
-        deadline_bounded = false;
-      }
-      auto it = oracle.find(schedule[i].source);
-      if (it == oracle.end()) {
-        it = oracle
-                 .emplace(schedule[i].source,
-                          sssp::dijkstra(csr, schedule[i].source).distances)
-                 .first;
-      }
-      if (result.queries[i].sssp.distances != it->second) {
-        std::fprintf(stderr,
-                     "VIOLATION: %s completed query %zu (source %u) "
-                     "distances differ from the Dijkstra reference\n",
-                     label, i, schedule[i].source);
-        distances_ok = false;
-      }
-    }
-  };
-
-  const auto stream_row = [](int load, bool breakers,
-                             const core::StreamResult& result) {
-    Row row;
-    row.load = load;  // offered load as a multiple of aggregate capacity
-    row.breakers = breakers;
-    row.offered = result.stats.size();
-    row.done = static_cast<std::size_t>(
-        result.ok_queries + result.recovered_queries +
-        result.fallback_queries);
-    row.shed = static_cast<std::size_t>(result.shed_queries);
-    row.missed = static_cast<std::size_t>(result.deadline_queries);
-    row.hedged = static_cast<std::size_t>(result.hedged_queries);
-    row.rerouted = static_cast<std::size_t>(result.rerouted_queries);
-    for (const core::BreakerEvent& event : result.breaker_events) {
-      if (event.transition == core::BreakerTransition::kOpen ||
-          event.transition == core::BreakerTransition::kReopen) {
-        ++row.breaker_trips;
-      }
-    }
-    std::vector<double> sojourn;
-    for (const core::StreamQueryStats& sq : result.stats) {
-      if (completed(sq.query.status)) sojourn.push_back(sq.sojourn_ms);
-    }
-    row.p50 = percentile(sojourn, 0.50);
-    row.p95 = percentile(sojourn, 0.95);
-    row.p99 = percentile(sojourn, 0.99);
-    return row;
-  };
-
   bool stream_deterministic = true;
   const auto same_stream = [](const core::StreamResult& a,
                               const core::StreamResult& b) {
@@ -645,7 +561,7 @@ int main(int argc, char** argv) {
           breakers, core::LanePolicy::kPredictedFastest, schedule);
       const core::StreamResult second = run_stream_config(
           breakers, core::LanePolicy::kPredictedFastest, schedule);
-      check_stream(first, schedule, "streaming");
+      check(first, "streaming");
       if (!same_stream(first, second)) {
         std::fprintf(stderr,
                      "VIOLATION: streaming row (breakers %s, load %dx) "
@@ -653,7 +569,7 @@ int main(int argc, char** argv) {
                      breakers ? "on" : "off", load);
         stream_deterministic = false;
       }
-      stream_rows.push_back(stream_row(load, breakers, first));
+      stream_rows.push_back(make_row(load, breakers, first));
     }
   }
 
@@ -676,9 +592,8 @@ int main(int argc, char** argv) {
           fastest ? core::LanePolicy::kPredictedFastest
                   : core::LanePolicy::kEarliestFree,
           schedule);
-      check_stream(result, schedule,
-                   fastest ? "predicted-fastest" : "earliest-free");
-      const Row row = stream_row(stream_loads.back(), false, result);
+      check(result, fastest ? "predicted-fastest" : "earliest-free");
+      const Row row = make_row(stream_loads.back(), false, result);
       policy_p99[fastest ? 1 : 0] = row.p99;
       policy_done[fastest ? 1 : 0] = row.done;
     }
@@ -777,9 +692,9 @@ int main(int argc, char** argv) {
   const core::StreamResult storm_resume = run_storm(true, false);
   const core::StreamResult storm_resume_again = run_storm(true, false);
   const core::StreamResult storm_closed = run_storm(true, true);
-  check_stream(storm_restart, storm_schedule, "storm-restart");
-  check_stream(storm_resume, storm_schedule, "storm-resume");
-  check_stream(storm_closed, storm_schedule, "storm-closed-loop");
+  check(storm_restart, "storm-restart");
+  check(storm_resume, "storm-resume");
+  check(storm_closed, "storm-closed-loop");
   bool storm_deterministic = same_stream(storm_resume, storm_resume_again);
   if (storm_resume.resumed_queries != storm_resume_again.resumed_queries ||
       storm_resume.migrated_queries != storm_resume_again.migrated_queries) {

@@ -63,6 +63,21 @@ echo "=== [tier1] result-cache latency guard ==="
 # reaches the nightly full bench.
 "$BUILD_ROOT/tier1/bench/server_tail_latency" --cache --json /dev/null
 
+echo "=== [tier1] server bench vs BENCH_server.json ==="
+# Every row of the full bench is on the simulated clock, so a fresh run must
+# reproduce the committed BENCH_server.json exactly: a change to any serving
+# decision fails here instead of silently drifting the checked-in numbers.
+SERVER_JSON="$(mktemp)"
+trap 'rm -f "$SERVER_JSON"' EXIT
+"$BUILD_ROOT/tier1/bench/server_tail_latency" --json "$SERVER_JSON" > /dev/null
+if ! python3 -c 'import json, sys
+a, b = (json.load(open(p)) for p in sys.argv[1:])
+sys.exit(a != b)' "$ROOT/BENCH_server.json" "$SERVER_JSON"; then
+  diff -u "$ROOT/BENCH_server.json" "$SERVER_JSON" || true
+  echo "bench/server_tail_latency output differs from BENCH_server.json" >&2
+  exit 1
+fi
+
 echo "=== [tier1] fault-injection CLI smoke ==="
 # The full recovery path end to end through the CLI: deterministic faults,
 # checkpoint-resume inside retries, mid-query lane migration, and a

@@ -227,6 +227,41 @@ int report_sanitizer(core::QueryBatch& batch) {
   return 3;
 }
 
+// The recovery, resume and breaker lines both serving modes end with. The
+// closed-loop counters only exist in stream mode with --closed-loop.
+void print_serving_summary(const core::StreamResult& result, bool faults,
+                           bool closed_loop) {
+  if (faults) {
+    std::printf(
+        "recovery: %llu attempt(s), %llu fault(s) injected "
+        "(%llu ECC-corrected), %llu retried, %.3f ms backoff%s\n",
+        static_cast<unsigned long long>(result.recovery.attempts),
+        static_cast<unsigned long long>(result.recovery.faults_injected),
+        static_cast<unsigned long long>(result.recovery.ecc_corrected),
+        static_cast<unsigned long long>(result.recovery.retries),
+        result.recovery.backoff_ms,
+        result.recovery.device_lost ? ", DEVICE LOST" : "");
+  }
+  if (result.resumed_queries > 0 || result.migrated_queries > 0 ||
+      closed_loop) {
+    std::printf("resume: %llu checkpoint-resumed, %llu migrated",
+                static_cast<unsigned long long>(result.resumed_queries),
+                static_cast<unsigned long long>(result.migrated_queries));
+    if (closed_loop) {
+      std::printf(
+          "; closed loop: %llu retried arrival(s), %llu past budget",
+          static_cast<unsigned long long>(result.retried_arrivals),
+          static_cast<unsigned long long>(result.retry_exhausted));
+    }
+    std::printf("\n");
+  }
+  for (const core::BreakerEvent& event : result.breaker_events) {
+    std::printf("breaker: lane %d -> %s at %.3f ms\n", event.lane,
+                core::breaker_transition_name(event.transition),
+                event.time_ms);
+  }
+}
+
 // Called once every flag the chosen mode uses has been looked up: names any
 // flag nothing read and returns false, so a typo never silently changes
 // what was run.
@@ -331,7 +366,9 @@ int main(int argc, char** argv) {
     // --breaker (or an explicit --serve) routes the batch through
     // core::QueryServer instead of the raw QueryBatch scheduler.
     // --serve-stream=SPEC switches to the continuous dispatcher over a
-    // generated traffic schedule (core/traffic.hpp grammar).
+    // generated traffic schedule (core/traffic.hpp grammar); its deadlines
+    // come from the spec and its order is class-then-deadline, so
+    // --deadline-ms and --admission are burst-only (rejected as unread).
     const bool stream_mode = args.has("serve-stream");
     const bool serve = stream_mode || args.get_bool("serve", false) ||
                        args.has("deadline-ms") || args.has("admission") ||
@@ -339,16 +376,6 @@ int main(int argc, char** argv) {
     if (serve) {
       core::QueryServerOptions sopts;
       sopts.batch = bopts;
-      sopts.default_deadline_ms = args.get_double(
-          "deadline-ms", std::numeric_limits<double>::infinity());
-      const std::string admission = args.get_string("admission", "fifo");
-      if (admission == "edf") {
-        sopts.admission = core::AdmissionPolicy::kEdf;
-      } else if (admission != "fifo") {
-        std::fprintf(stderr, "--admission must be fifo or edf, not %s\n",
-                     admission.c_str());
-        return 2;
-      }
       const std::string breaker = args.get_string("breaker", "on");
       if (breaker == "off") {
         sopts.breaker.enabled = false;
@@ -461,13 +488,13 @@ int main(int argc, char** argv) {
                                    result.cached_queries;
         std::printf(
             "\nstreamed %zu quer%s (%s arrivals) over %d lane(s) "
-            "(%s-lane placement, %s admission, breakers %s): "
+            "(%s-lane placement, breakers %s): "
             "%llu completed / %llu shed / %llu deadline / %llu failed; "
             "%llu hedged, %llu rerouted, %llu promotion(s); "
             "makespan %.3f ms (device %.3f ms)\n",
             schedule.size(), schedule.size() == 1 ? "y" : "ies",
             core::arrival_process_name(tspec.process),
-            server.batch().num_lanes(), policy.c_str(), admission.c_str(),
+            server.batch().num_lanes(), policy.c_str(),
             sopts.breaker.enabled ? "on" : "off",
             static_cast<unsigned long long>(done),
             static_cast<unsigned long long>(result.shed_queries),
@@ -493,34 +520,19 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(cs.evictions),
               100.0 * reps.repeat_fraction, reps.distinct_sources);
         }
-        if (fault.enabled) {
-          std::printf(
-              "recovery: %llu attempt(s), %llu fault(s) injected "
-              "(%llu ECC-corrected), %llu retried, %.3f ms backoff%s\n",
-              static_cast<unsigned long long>(result.recovery.attempts),
-              static_cast<unsigned long long>(
-                  result.recovery.faults_injected),
-              static_cast<unsigned long long>(result.recovery.ecc_corrected),
-              static_cast<unsigned long long>(result.recovery.retries),
-              result.recovery.backoff_ms,
-              result.recovery.device_lost ? ", DEVICE LOST" : "");
-        }
-        if (result.resumed_queries > 0 || result.migrated_queries > 0 ||
-            sopts.closed_loop.enabled) {
-          std::printf(
-              "resume: %llu checkpoint-resumed, %llu migrated; "
-              "closed loop: %llu retried arrival(s), %llu past budget\n",
-              static_cast<unsigned long long>(result.resumed_queries),
-              static_cast<unsigned long long>(result.migrated_queries),
-              static_cast<unsigned long long>(result.retried_arrivals),
-              static_cast<unsigned long long>(result.retry_exhausted));
-        }
-        for (const core::BreakerEvent& event : result.breaker_events) {
-          std::printf("breaker: lane %d -> %s at %.3f ms\n", event.lane,
-                      core::breaker_transition_name(event.transition),
-                      event.time_ms);
-        }
+        print_serving_summary(result, fault.enabled,
+                              sopts.closed_loop.enabled);
         return report_sanitizer(server.batch());
+      }
+      sopts.default_deadline_ms = args.get_double(
+          "deadline-ms", std::numeric_limits<double>::infinity());
+      const std::string admission = args.get_string("admission", "fifo");
+      if (admission == "edf") {
+        sopts.admission = core::AdmissionPolicy::kEdf;
+      } else if (admission != "fifo") {
+        std::fprintf(stderr, "--admission must be fifo or edf, not %s\n",
+                     admission.c_str());
+        return 2;
       }
       if (!all_flags_read(args)) return 2;
       core::QueryServer server(csr, device, sopts);
@@ -531,12 +543,12 @@ int main(int argc, char** argv) {
         q.source = s;  // deadline left unset -> options.default_deadline_ms
         offered.push_back(q);
       }
-      const core::ServerResult result = server.run(offered);
+      const core::StreamResult result = server.run(offered);
 
       TextTable table({"source", "lane", "status", "latency ms", "finish ms",
                        "deadline ms", "overrun", "reached", "valid"});
       for (std::size_t i = 0; i < result.stats.size(); ++i) {
-        const core::ServerQueryStats& sq = result.stats[i];
+        const core::StreamQueryStats& sq = result.stats[i];
         const bool has_distances = !result.queries[i].sssp.distances.empty();
         const auto verdict =
             has_distances ? sssp::validate_distances(
@@ -587,28 +599,7 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(result.joined_queries),
             static_cast<unsigned long long>(result.warm_started_queries));
       }
-      if (fault.enabled) {
-        std::printf(
-            "recovery: %llu attempt(s), %llu fault(s) injected "
-            "(%llu ECC-corrected), %llu retried, %.3f ms backoff%s\n",
-            static_cast<unsigned long long>(result.recovery.attempts),
-            static_cast<unsigned long long>(result.recovery.faults_injected),
-            static_cast<unsigned long long>(result.recovery.ecc_corrected),
-            static_cast<unsigned long long>(result.recovery.retries),
-            result.recovery.backoff_ms,
-            result.recovery.device_lost ? ", DEVICE LOST" : "");
-      }
-      if (result.resumed_queries > 0 || result.migrated_queries > 0) {
-        std::printf(
-            "resume: %llu checkpoint-resumed, %llu migrated\n",
-            static_cast<unsigned long long>(result.resumed_queries),
-            static_cast<unsigned long long>(result.migrated_queries));
-      }
-      for (const core::BreakerEvent& event : result.breaker_events) {
-        std::printf("breaker: lane %d -> %s at %.3f ms\n", event.lane,
-                    core::breaker_transition_name(event.transition),
-                    event.time_ms);
-      }
+      print_serving_summary(result, fault.enabled, /*closed_loop=*/false);
       return report_sanitizer(server.batch());
     }
 

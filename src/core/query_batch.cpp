@@ -319,15 +319,7 @@ BatchResult QueryBatch::run(std::span<const VertexId> sources) {
       case QueryStatus::kRecovered: ++batch.recovered_queries; break;
       default: break;
     }
-    batch.recovery.faults_injected += out.result.recovery.faults_injected;
-    batch.recovery.ecc_corrected += out.result.recovery.ecc_corrected;
-    batch.recovery.retries += out.result.recovery.retries;
-    batch.recovery.resumed += out.result.recovery.resumed;
-    batch.recovery.cpu_fallbacks += out.result.recovery.cpu_fallbacks;
-    batch.recovery.attempts += out.result.recovery.attempts;
-    batch.recovery.backoff_ms += out.result.recovery.backoff_ms;
-    batch.recovery.device_lost =
-        batch.recovery.device_lost || out.result.recovery.device_lost;
+    batch.recovery += out.result.recovery;
     batch.sum_latency_ms += out.stats.device_ms;
     batch.queue_wait_ms += out.stats.queue_wait_ms;
     batch.warp_instructions += out.stats.warp_instructions;

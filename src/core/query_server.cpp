@@ -10,6 +10,18 @@
 
 namespace rdbs::core {
 
+namespace {
+
+// Ends query `index` with `status` and no distances.
+void reject(StreamResult& result, std::size_t index, QueryStatus status,
+            const char* why) {
+  result.queries[index].ok = false;
+  result.stats[index].query.status = status;
+  result.stats[index].query.error = why;
+}
+
+}  // namespace
+
 const char* breaker_transition_name(BreakerTransition transition) {
   switch (transition) {
     case BreakerTransition::kOpen: return "open";
@@ -124,27 +136,68 @@ void QueryServer::record_outcome(int lane,
   }
 }
 
-bool QueryServer::try_migrate(VertexId source, bool bounded,
-                              double abs_deadline_ms,
+int QueryServer::eligible_lanes(double now_ms,
+                                std::vector<std::uint8_t>& eligible,
+                                int exclude) {
+  update_breaker_states(now_ms);
+  eligible.assign(static_cast<std::size_t>(batch_.num_lanes()), 0);
+  int count = 0;
+  for (int l = 0; l < batch_.num_lanes(); ++l) {
+    if (l == exclude ||
+        breakers_[static_cast<std::size_t>(l)].state == BreakerState::kOpen) {
+      continue;
+    }
+    eligible[static_cast<std::size_t>(l)] = 1;
+    ++count;
+  }
+  return count;
+}
+
+int QueryServer::earliest_reopen_lane() const {
+  return static_cast<int>(
+      std::min_element(breakers_.begin(), breakers_.end(),
+                       [](const LaneBreaker& a, const LaneBreaker& b) {
+                         return a.open_until_ms < b.open_until_ms;
+                       }) -
+      breakers_.begin());
+}
+
+QueryBatch::LaneOutcome QueryServer::run_lane(int lane, VertexId source,
+                                              double abs_deadline_ms,
+                                              const QueryCheckpoint* resume,
+                                              std::uint64_t& overrun_kernels) {
+  const gpusim::StreamId stream = batch_.lane_stream(lane);
+  const std::uint64_t overrun_before =
+      batch_.sim().stream_overrun_kernels(stream);
+  const bool bounded = std::isfinite(abs_deadline_ms);
+  CancelToken token;
+  if (bounded) {
+    batch_.sim().set_stream_deadline(stream, abs_deadline_ms);
+    token = CancelToken(batch_.sim(), stream, abs_deadline_ms);
+  }
+  const CancelToken* cancel = bounded ? &token : nullptr;
+  QueryBatch::LaneOutcome outcome =
+      resume != nullptr
+          ? batch_.run_migrated_on_lane(lane, source, cancel, *resume)
+          : batch_.run_on_lane(lane, source, cancel);
+  if (bounded) batch_.sim().clear_stream_deadline(stream);
+  overrun_kernels +=
+      batch_.sim().stream_overrun_kernels(stream) - overrun_before;
+  return outcome;
+}
+
+bool QueryServer::try_migrate(VertexId source, double abs_deadline_ms,
                               QueryBatch::LaneOutcome& outcome, int& lane,
                               std::uint64_t& overrun_kernels) {
   if (!options_.migrate) return false;
   if (outcome.stats.status != QueryStatus::kFailed) return false;
   if (!outcome.checkpoint.valid()) return false;
 
-  update_breaker_states(batch_.sim().elapsed_ms());
-  std::vector<std::uint8_t> eligible(
-      static_cast<std::size_t>(batch_.num_lanes()), 0);
-  bool any_eligible = false;
-  for (int l = 0; l < batch_.num_lanes(); ++l) {
-    if (l == lane) continue;  // never resume on the lane that just failed
-    if (breakers_[static_cast<std::size_t>(l)].state == BreakerState::kOpen) {
-      continue;
-    }
-    eligible[static_cast<std::size_t>(l)] = 1;
-    any_eligible = true;
+  // Never resume on the lane that just failed.
+  std::vector<std::uint8_t> eligible;
+  if (eligible_lanes(batch_.sim().elapsed_ms(), eligible, lane) == 0) {
+    return false;
   }
-  if (!any_eligible) return false;
 
   // A lost device latches globally; migration is the consumer of
   // revive_device() (simulated device reset before re-seeding the
@@ -161,37 +214,14 @@ bool QueryServer::try_migrate(VertexId source, bool bounded,
     batch_.sim().charge_host_ms(gap_ms, batch_.lane_stream(dest));
   }
 
-  const gpusim::StreamId stream = batch_.lane_stream(dest);
-  const std::uint64_t overrun_before =
-      batch_.sim().stream_overrun_kernels(stream);
-  CancelToken token;
-  const CancelToken* cancel = nullptr;
-  if (bounded) {
-    batch_.sim().set_stream_deadline(stream, abs_deadline_ms);
-    token = CancelToken(batch_.sim(), stream, abs_deadline_ms);
-    cancel = &token;
-  }
-  QueryBatch::LaneOutcome resumed =
-      batch_.run_migrated_on_lane(dest, source, cancel, outcome.checkpoint);
-  if (bounded) batch_.sim().clear_stream_deadline(stream);
-  overrun_kernels +=
-      batch_.sim().stream_overrun_kernels(stream) - overrun_before;
-
+  QueryBatch::LaneOutcome resumed = run_lane(
+      dest, source, abs_deadline_ms, &outcome.checkpoint, overrun_kernels);
   record_outcome(dest, resumed);
 
   // Fold the failed attempt's accounting into the resumed run so per-query
   // totals cover both attempts. Done AFTER record_outcome: the destination
   // lane's breaker must only see the destination's faults.
-  RecoveryStats& to = resumed.result.recovery;
-  const RecoveryStats& from = outcome.result.recovery;
-  to.faults_injected += from.faults_injected;
-  to.ecc_corrected += from.ecc_corrected;
-  to.retries += from.retries;
-  to.resumed += from.resumed;
-  to.cpu_fallbacks += from.cpu_fallbacks;
-  to.attempts += from.attempts;
-  to.backoff_ms += from.backoff_ms;
-  to.device_lost = to.device_lost || from.device_lost;
+  resumed.result.recovery += outcome.result.recovery;
   resumed.result.faults.insert(resumed.result.faults.begin(),
                                outcome.result.faults.begin(),
                                outcome.result.faults.end());
@@ -201,146 +231,198 @@ bool QueryServer::try_migrate(VertexId source, bool bounded,
   return true;
 }
 
-ServerResult QueryServer::run(std::span<const ServerQuery> queries) {
-  ServerResult result;
-  result.queries.resize(queries.size());
-  result.stats.resize(queries.size());
-  const double run_start_ms = batch_.sim().elapsed_ms();
-  const double host_start_ms = host_clock_ms_;
+StreamResult QueryServer::begin_call(std::size_t num_queries) {
+  StreamResult result;
+  result.queries.resize(num_queries);
+  result.stats.resize(num_queries);
+  start_ms_ = batch_.sim().elapsed_ms();
+  host_start_ms_ = host_clock_ms_;
+  return result;
+}
 
-  const auto shed = [&](std::size_t index, const char* why) {
-    result.queries[index].ok = false;
-    result.stats[index].query.status = QueryStatus::kShedded;
-    result.stats[index].query.error = why;
-  };
-  // Serves one query on the host hedge lane when that still meets the
-  // deadline (relative to the run start; the host lane is one serial
-  // worker). Returns false when hedging is off or the host is too slow.
-  const auto try_hedge = [&](std::size_t index, VertexId source,
-                             double deadline_rel_ms) {
-    if (!options_.hedge_to_cpu) return false;
-    const double finish_ms =
-        (host_clock_ms_ - host_start_ms) + host_cost_ms();
-    if (finish_ms > deadline_rel_ms) return false;
-    host_clock_ms_ += host_cost_ms();
-    GpuRunResult& hedged = result.queries[index];
-    hedged.sssp = sssp::dijkstra(host_csr_, source);
-    hedged.ok = true;
-    hedged.recovery.cpu_fallbacks = 1;
-    ServerQueryStats& stats = result.stats[index];
-    stats.query.status = QueryStatus::kCpuFallback;
-    stats.hedged = true;
-    stats.finish_ms = host_clock_ms_ - host_start_ms;
-    // Hedged results publish too (mapped onto the serving clock axis), so
-    // a repeat of a hedged source is a hit like any other.
-    if (cache_) {
-      cache_->publish(source, QueryStatus::kCpuFallback,
-                      hedged.sssp.distances, run_start_ms + stats.finish_ms);
+// Result cache (core/result_cache.hpp; docs/serving.md "Result cache"). An
+// entry published by `at_ms` is an exact hit, served instantly with zero
+// device time. An entry still in flight — an identical source dispatched
+// earlier — is joined single-flight when it publishes inside this query's
+// deadline, sharing the producer's status, distances and even its failure.
+// Cache publish times live on the absolute device clock.
+bool QueryServer::serve_from_cache(StreamResult& result, std::size_t index,
+                                   double at_ms) {
+  if (cache_ == nullptr) return false;
+  StreamQueryStats& stats = result.stats[index];
+  const VertexId source = stats.query.source;
+  const double at_abs_ms = start_ms_ + at_ms;
+  const CachedResult* entry = cache_->lookup(source, at_abs_ms);
+  const bool hit = entry != nullptr;
+  if (!hit) {
+    entry = cache_->lookup_inflight(source, at_abs_ms);
+    // One that would publish too late for THIS query is no help: run its own.
+    if (entry == nullptr || entry->publish_ms - start_ms_ > stats.deadline_ms) {
+      return false;
     }
+  }
+  stats.single_flight = !hit;
+  stats.dispatch_ms = at_ms;
+  stats.finish_ms = hit ? at_ms : entry->publish_ms - start_ms_;
+  if (!hit && entry->status == QueryStatus::kFailed) {
+    reject(result, index, QueryStatus::kFailed,
+           "single-flight: shared in-flight query failed");
     return true;
-  };
+  }
+  GpuRunResult& out = result.queries[index];
+  out.ok = true;
+  out.sssp.distances = entry->distances;
+  sssp::finalize_valid_updates(out.sssp, source);
+  stats.query.status = hit ? QueryStatus::kCacheHit : entry->status;
+  stats.sojourn_ms = stats.finish_ms - stats.arrival_ms;
+  return true;
+}
 
-  // Result cache (core/result_cache.hpp): consulted per query BEFORE any
-  // breaker or shedding logic — a cache-answerable query is never shed.
-  // All of this run's queries "arrive" at run_start_ms, so that is the
-  // decision time: an entry published by then is an exact hit (served
-  // instantly, zero device time); an entry still in flight — typically an
-  // identical source dispatched earlier in this very run — is joined
-  // single-flight when it publishes inside this query's deadline, sharing
-  // the producer's status, distances and even its failure.
-  const auto serve_from_cache = [&](std::size_t index, VertexId source,
-                                    double deadline_rel_ms) {
-    if (cache_ == nullptr) return false;
-    if (const CachedResult* hit = cache_->lookup(source, run_start_ms)) {
-      GpuRunResult& out = result.queries[index];
-      out.ok = true;
-      out.sssp.distances = hit->distances;
-      sssp::finalize_valid_updates(out.sssp, source);
-      ServerQueryStats& stats = result.stats[index];
-      stats.query.status = QueryStatus::kCacheHit;
-      stats.finish_ms = 0;
-      return true;
+bool QueryServer::try_hedge(StreamResult& result, std::size_t index,
+                            double now_ms) {
+  if (!options_.hedge_to_cpu) return false;
+  StreamQueryStats& stats = result.stats[index];
+  const double finish_ms =
+      std::max(host_clock_ms_ - host_start_ms_, now_ms) + host_cost_ms();
+  if (finish_ms > stats.deadline_ms) return false;
+  host_clock_ms_ = host_start_ms_ + finish_ms;
+  GpuRunResult& hedged = result.queries[index];
+  hedged.sssp = sssp::dijkstra(host_csr_, stats.query.source);
+  hedged.ok = true;
+  hedged.recovery.cpu_fallbacks = 1;
+  stats.query.status = QueryStatus::kCpuFallback;
+  stats.hedged = true;
+  stats.dispatch_ms = now_ms;
+  stats.finish_ms = finish_ms;
+  stats.sojourn_ms = finish_ms - stats.arrival_ms;
+  // Hedged results publish too (mapped onto the serving clock axis), so a
+  // repeat of a hedged source is a hit like any other.
+  if (cache_) {
+    cache_->publish(stats.query.source, QueryStatus::kCpuFallback,
+                    hedged.sssp.distances, start_ms_ + finish_ms);
+  }
+  return true;
+}
+
+void QueryServer::dispatch(StreamResult& result, std::size_t index,
+                           int lane) {
+  StreamQueryStats& stats = result.stats[index];
+  const VertexId source = stats.query.source;
+  const double abs_deadline_ms = start_ms_ + stats.deadline_ms;
+  stats.overrun_kernels = 0;
+  QueryBatch::LaneOutcome outcome = run_lane(
+      lane, source, abs_deadline_ms, nullptr, stats.overrun_kernels);
+  record_outcome(lane, outcome);
+  try_migrate(source, abs_deadline_ms, outcome, lane, stats.overrun_kernels);
+
+  stats.finish_ms = batch_.lane_clock_ms(lane) - start_ms_;
+  stats.query = std::move(outcome.stats);
+  if (stats.query.status == QueryStatus::kOk ||
+      stats.query.status == QueryStatus::kRecovered ||
+      stats.query.status == QueryStatus::kCpuFallback) {
+    stats.sojourn_ms = stats.finish_ms - stats.arrival_ms;
+  }
+  result.recovery += outcome.result.recovery;
+  result.queries[index] = std::move(outcome.result);
+}
+
+void QueryServer::end_call(StreamResult& result) {
+  for (std::size_t i = 0; i < result.stats.size(); ++i) {
+    const StreamQueryStats& stats = result.stats[i];
+    ClassTally& tally = result.classes[static_cast<std::size_t>(stats.cls)];
+    ++tally.offered;
+    switch (stats.query.status) {
+      case QueryStatus::kOk:
+        ++result.ok_queries;
+        ++tally.completed;
+        break;
+      case QueryStatus::kRecovered:
+        ++result.recovered_queries;
+        ++tally.completed;
+        break;
+      case QueryStatus::kCpuFallback:
+        ++result.fallback_queries;
+        ++tally.completed;
+        break;
+      case QueryStatus::kFailed:
+        ++result.failed_queries;
+        ++tally.failed;
+        break;
+      case QueryStatus::kDeadlineExceeded:
+        ++result.deadline_queries;
+        ++tally.missed;
+        break;
+      case QueryStatus::kShedded:
+        ++result.shed_queries;
+        ++tally.shed;
+        break;
+      case QueryStatus::kCacheHit:
+        ++result.cached_queries;
+        ++tally.completed;
+        break;
     }
-    const CachedResult* flight =
-        cache_->lookup_inflight(source, run_start_ms);
-    if (flight == nullptr) return false;
-    const double publish_rel_ms = flight->publish_ms - run_start_ms;
-    if (std::isfinite(deadline_rel_ms) && publish_rel_ms > deadline_rel_ms) {
-      return false;  // would publish too late for THIS query: run its own
-    }
-    ServerQueryStats& stats = result.stats[index];
-    stats.single_flight = true;
-    stats.finish_ms = publish_rel_ms;
-    if (flight->status == QueryStatus::kFailed) {
-      result.queries[index].ok = false;
-      stats.query.status = QueryStatus::kFailed;
-      stats.query.error = "single-flight: shared in-flight query failed";
-    } else {
-      GpuRunResult& out = result.queries[index];
-      out.ok = true;
-      out.sssp.distances = flight->distances;
-      sssp::finalize_valid_updates(out.sssp, source);
-      stats.query.status = flight->status;
-    }
-    return true;
-  };
+    if (stats.hedged) ++result.hedged_queries;
+    if (stats.rerouted) ++result.rerouted_queries;
+    if (stats.single_flight) ++result.joined_queries;
+    if (stats.query.warm_started) ++result.warm_started_queries;
+    if (stats.query.migrated) ++result.migrated_queries;
+    if (result.queries[i].recovery.resumed > 0) ++result.resumed_queries;
+    result.overrun_kernels += stats.overrun_kernels;
+  }
+  result.device_makespan_ms = batch_.sim().elapsed_ms() - start_ms_;
+  result.makespan_ms =
+      std::max(result.device_makespan_ms, host_clock_ms_ - host_start_ms_);
+  result.breaker_events.assign(
+      event_log_.begin() + static_cast<std::ptrdiff_t>(events_drained_),
+      event_log_.end());
+  events_drained_ = event_log_.size();
+}
+
+StreamResult QueryServer::run(std::span<const ServerQuery> queries) {
+  StreamResult result = begin_call(queries.size());
 
   // --- admission: bounded queue, then FIFO or EDF dispatch order ----------
-  struct Pending {
-    std::size_t index = 0;
-    double deadline_rel_ms = 0;
-  };
-  std::vector<Pending> pending;
-  pending.reserve(std::min(queries.size(), options_.max_pending));
+  std::vector<std::size_t> admitted;
+  admitted.reserve(std::min(queries.size(), options_.max_pending));
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    double deadline = queries[i].deadline_ms;
-    if (!std::isfinite(deadline)) deadline = options_.default_deadline_ms;
-    result.stats[i].deadline_ms = deadline;
-    result.stats[i].query.source = queries[i].source;
-    if (pending.size() >= options_.max_pending) {
-      shed(i, "admission queue full");
+    StreamQueryStats& stats = result.stats[i];
+    stats.query.source = queries[i].source;
+    stats.deadline_ms = std::isfinite(queries[i].deadline_ms)
+                            ? queries[i].deadline_ms
+                            : options_.default_deadline_ms;
+    if (admitted.size() >= options_.max_pending) {
+      reject(result, i, QueryStatus::kShedded, "admission queue full");
       continue;
     }
-    pending.push_back({i, deadline});
+    admitted.push_back(i);
   }
   if (options_.admission == AdmissionPolicy::kEdf) {
-    std::stable_sort(pending.begin(), pending.end(),
-                     [](const Pending& a, const Pending& b) {
-                       return a.deadline_rel_ms < b.deadline_rel_ms;
+    std::stable_sort(admitted.begin(), admitted.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return result.stats[a].deadline_ms <
+                              result.stats[b].deadline_ms;
                      });
   }
 
-  for (const Pending& item : pending) {
-    const ServerQuery& query = queries[item.index];
-    ServerQueryStats& stats = result.stats[item.index];
+  // Each query is committed in admission order, all at decision time 0.
+  for (const std::size_t index : admitted) {
+    StreamQueryStats& stats = result.stats[index];
 
     // An invalid source fails this query alone and occupies no lane.
-    if (query.source >= host_csr_.num_vertices()) {
-      result.queries[item.index].ok = false;
-      stats.query.status = QueryStatus::kFailed;
-      stats.query.error = "source vertex out of range";
+    if (stats.query.source >= host_csr_.num_vertices()) {
+      reject(result, index, QueryStatus::kFailed,
+             "source vertex out of range");
       continue;
     }
 
     // Cache check comes before breakers, shedding and hedging: an exact
     // hit or single-flight join costs no lane and cannot be rejected.
-    if (serve_from_cache(item.index, query.source, item.deadline_rel_ms)) {
-      continue;
-    }
+    if (serve_from_cache(result, index, 0)) continue;
 
-    const bool bounded = std::isfinite(item.deadline_rel_ms);
-    const double abs_deadline_ms =
-        bounded ? run_start_ms + item.deadline_rel_ms : item.deadline_rel_ms;
-
-    update_breaker_states(batch_.sim().elapsed_ms());
-    std::vector<std::uint8_t> eligible(
-        static_cast<std::size_t>(batch_.num_lanes()), 0);
-    for (int l = 0; l < batch_.num_lanes(); ++l) {
-      eligible[static_cast<std::size_t>(l)] =
-          breakers_[static_cast<std::size_t>(l)].state != BreakerState::kOpen
-              ? 1
-              : 0;
-    }
+    const bool bounded = std::isfinite(stats.deadline_ms);
+    const double abs_deadline_ms = start_ms_ + stats.deadline_ms;
+    std::vector<std::uint8_t> eligible;
+    eligible_lanes(batch_.sim().elapsed_ms(), eligible);
     const int preferred_lane = batch_.pick_lane();  // ignoring breakers
     int lane = batch_.pick_lane(&eligible);
 
@@ -350,14 +432,8 @@ ServerResult QueryServer::run(std::span<const ServerQuery> queries) {
       // clock only advances with work, so the wait is charged as host time
       // on that lane's stream) — unless even the reopened lane would miss
       // the deadline, in which case the query is shed.
-      if (try_hedge(item.index, query.source, item.deadline_rel_ms)) continue;
-      int wait_lane = 0;
-      for (int l = 1; l < batch_.num_lanes(); ++l) {
-        if (breakers_[static_cast<std::size_t>(l)].open_until_ms <
-            breakers_[static_cast<std::size_t>(wait_lane)].open_until_ms) {
-          wait_lane = l;
-        }
-      }
+      if (try_hedge(result, index, 0)) continue;
+      const int wait_lane = earliest_reopen_lane();
       const double reopen_ms =
           breakers_[static_cast<std::size_t>(wait_lane)].open_until_ms;
       const double projected_finish_ms =
@@ -365,7 +441,7 @@ ServerResult QueryServer::run(std::span<const ServerQuery> queries) {
           batch_.lane_cost_estimate_ms(wait_lane);
       if (options_.shed_on_overload && bounded &&
           projected_finish_ms > abs_deadline_ms) {
-        shed(item.index, "all lanes open");
+        reject(result, index, QueryStatus::kShedded, "all lanes open");
         continue;
       }
       const double gap_ms = reopen_ms - batch_.lane_clock_ms(wait_lane);
@@ -379,89 +455,27 @@ ServerResult QueryServer::run(std::span<const ServerQuery> queries) {
       // already puts completion past the deadline — cheaper than burning
       // device time to find out.
       const double estimated_finish_ms =
-          std::max(batch_.lane_clock_ms(lane), run_start_ms) +
+          std::max(batch_.lane_clock_ms(lane), start_ms_) +
           batch_.lane_cost_estimate_ms(lane);
       if (estimated_finish_ms > abs_deadline_ms) {
-        if (try_hedge(item.index, query.source, item.deadline_rel_ms)) {
-          continue;
+        if (!try_hedge(result, index, 0)) {
+          reject(result, index, QueryStatus::kShedded,
+                 "predicted deadline miss");
         }
-        shed(item.index, "predicted deadline miss");
         continue;
       }
     }
 
-    // --- device dispatch --------------------------------------------------
     stats.rerouted = lane != preferred_lane;
-    const gpusim::StreamId stream = batch_.lane_stream(lane);
-    const std::uint64_t overrun_before =
-        batch_.sim().stream_overrun_kernels(stream);
-    CancelToken token;
-    const CancelToken* cancel = nullptr;
-    if (bounded) {
-      batch_.sim().set_stream_deadline(stream, abs_deadline_ms);
-      token = CancelToken(batch_.sim(), stream, abs_deadline_ms);
-      cancel = &token;
-    }
-    QueryBatch::LaneOutcome outcome =
-        batch_.run_on_lane(lane, query.source, cancel);
-    if (bounded) batch_.sim().clear_stream_deadline(stream);
-    stats.overrun_kernels =
-        batch_.sim().stream_overrun_kernels(stream) - overrun_before;
-
-    record_outcome(lane, outcome);
-    try_migrate(query.source, bounded, abs_deadline_ms, outcome, lane,
-                stats.overrun_kernels);
-
-    stats.finish_ms = batch_.lane_clock_ms(lane) - run_start_ms;
-    stats.query = std::move(outcome.stats);
-    result.recovery.faults_injected += outcome.result.recovery.faults_injected;
-    result.recovery.ecc_corrected += outcome.result.recovery.ecc_corrected;
-    result.recovery.retries += outcome.result.recovery.retries;
-    result.recovery.resumed += outcome.result.recovery.resumed;
-    result.recovery.cpu_fallbacks += outcome.result.recovery.cpu_fallbacks;
-    result.recovery.attempts += outcome.result.recovery.attempts;
-    result.recovery.backoff_ms += outcome.result.recovery.backoff_ms;
-    result.recovery.device_lost =
-        result.recovery.device_lost || outcome.result.recovery.device_lost;
-    result.queries[item.index] = std::move(outcome.result);
+    dispatch(result, index, lane);
   }
 
-  // --- aggregates ---------------------------------------------------------
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const ServerQueryStats& stats = result.stats[i];
-    switch (stats.query.status) {
-      case QueryStatus::kOk: ++result.ok_queries; break;
-      case QueryStatus::kRecovered: ++result.recovered_queries; break;
-      case QueryStatus::kCpuFallback: ++result.fallback_queries; break;
-      case QueryStatus::kFailed: ++result.failed_queries; break;
-      case QueryStatus::kDeadlineExceeded: ++result.deadline_queries; break;
-      case QueryStatus::kShedded: ++result.shed_queries; break;
-      case QueryStatus::kCacheHit: ++result.cached_queries; break;
-    }
-    if (stats.hedged) ++result.hedged_queries;
-    if (stats.rerouted) ++result.rerouted_queries;
-    if (stats.single_flight) ++result.joined_queries;
-    if (stats.query.warm_started) ++result.warm_started_queries;
-    if (stats.query.migrated) ++result.migrated_queries;
-    if (result.queries[i].recovery.resumed > 0) ++result.resumed_queries;
-    result.overrun_kernels += stats.overrun_kernels;
-  }
-  result.device_makespan_ms = batch_.sim().elapsed_ms() - run_start_ms;
-  result.makespan_ms =
-      std::max(result.device_makespan_ms, host_clock_ms_ - host_start_ms);
-  result.breaker_events.assign(
-      event_log_.begin() + static_cast<std::ptrdiff_t>(events_drained_),
-      event_log_.end());
-  events_drained_ = event_log_.size();
+  end_call(result);
   return result;
 }
 
 StreamResult QueryServer::run_stream(std::span<const TrafficQuery> schedule) {
-  StreamResult result;
-  result.queries.resize(schedule.size());
-  result.stats.resize(schedule.size());
-  const double stream_start_ms = batch_.sim().elapsed_ms();
-  const double host_start_ms = host_clock_ms_;
+  StreamResult result = begin_call(schedule.size());
   constexpr double kInf = std::numeric_limits<double>::infinity();
 
   for (std::size_t i = 0; i < schedule.size(); ++i) {
@@ -484,84 +498,6 @@ StreamResult QueryServer::run_stream(std::span<const TrafficQuery> schedule) {
                    [&](std::size_t a, std::size_t b) {
                      return schedule[a].arrival_ms < schedule[b].arrival_ms;
                    });
-
-  const auto shed = [&](std::size_t index, const char* why) {
-    result.queries[index].ok = false;
-    result.stats[index].query.status = QueryStatus::kShedded;
-    result.stats[index].query.error = why;
-  };
-  // Serves one query on the host hedge lane when that still meets its
-  // deadline. The host lane is one serial worker, so the hedge starts at
-  // the later of "host lane free" and the decision time `now_ms`.
-  const auto try_hedge = [&](std::size_t index, double now_ms) {
-    if (!options_.hedge_to_cpu) return false;
-    StreamQueryStats& stats = result.stats[index];
-    const double start_ms =
-        std::max(host_clock_ms_ - host_start_ms, now_ms);
-    const double finish_ms = start_ms + host_cost_ms();
-    if (finish_ms > stats.deadline_ms) return false;
-    host_clock_ms_ = host_start_ms + finish_ms;
-    GpuRunResult& hedged = result.queries[index];
-    hedged.sssp = sssp::dijkstra(host_csr_, schedule[index].source);
-    hedged.ok = true;
-    hedged.recovery.cpu_fallbacks = 1;
-    stats.query.status = QueryStatus::kCpuFallback;
-    stats.hedged = true;
-    stats.dispatch_ms = now_ms;
-    stats.finish_ms = finish_ms;
-    stats.sojourn_ms = finish_ms - stats.arrival_ms;
-    if (cache_) {
-      cache_->publish(schedule[index].source, QueryStatus::kCpuFallback,
-                      hedged.sssp.distances, stream_start_ms + finish_ms);
-    }
-    return true;
-  };
-
-  // Result cache, streaming flavor (docs/serving.md "Result cache").
-  // Checked twice per query — at arrival (admission) and again at dispatch,
-  // because an identical source may publish while this one sits queued. The
-  // decision time `at_rel_ms` is relative to the stream start; cache
-  // publish times live on the absolute device clock.
-  const auto serve_from_cache_stream = [&](std::size_t index,
-                                           double at_rel_ms) {
-    if (cache_ == nullptr) return false;
-    const VertexId source = schedule[index].source;
-    StreamQueryStats& stats = result.stats[index];
-    const double at_abs_ms = stream_start_ms + at_rel_ms;
-    if (const CachedResult* hit = cache_->lookup(source, at_abs_ms)) {
-      GpuRunResult& out = result.queries[index];
-      out.ok = true;
-      out.sssp.distances = hit->distances;
-      sssp::finalize_valid_updates(out.sssp, source);
-      stats.query.status = QueryStatus::kCacheHit;
-      stats.dispatch_ms = at_rel_ms;
-      stats.finish_ms = at_rel_ms;
-      stats.sojourn_ms = at_rel_ms - stats.arrival_ms;
-      return true;
-    }
-    const CachedResult* flight = cache_->lookup_inflight(source, at_abs_ms);
-    if (flight == nullptr) return false;
-    const double publish_rel_ms = flight->publish_ms - stream_start_ms;
-    if (publish_rel_ms > stats.deadline_ms) {
-      return false;  // would publish too late for THIS query: run its own
-    }
-    stats.single_flight = true;
-    stats.dispatch_ms = at_rel_ms;
-    stats.finish_ms = publish_rel_ms;
-    if (flight->status == QueryStatus::kFailed) {
-      result.queries[index].ok = false;
-      stats.query.status = QueryStatus::kFailed;
-      stats.query.error = "single-flight: shared in-flight query failed";
-    } else {
-      GpuRunResult& out = result.queries[index];
-      out.ok = true;
-      out.sssp.distances = flight->distances;
-      sssp::finalize_valid_updates(out.sssp, source);
-      stats.query.status = flight->status;
-      stats.sojourn_ms = publish_rel_ms - stats.arrival_ms;
-    }
-    return true;
-  };
 
   // --- continuous dispatch -------------------------------------------------
   // `now_ms` is the scheduler's decision clock, relative to the stream
@@ -625,8 +561,9 @@ StreamResult QueryServer::run_stream(std::span<const TrafficQuery> schedule) {
   };
   const auto shed_or_retry = [&](std::size_t index, const char* why,
                                  double event_ms) {
-    if (maybe_retry(index, event_ms)) return;
-    shed(index, why);
+    if (!maybe_retry(index, event_ms)) {
+      reject(result, index, QueryStatus::kShedded, why);
+    }
   };
   // Admits one closed-loop re-arrival: the deadline window restarts
   // relative to the NEW arrival (arrival_ms keeps the original, so sojourn
@@ -637,7 +574,7 @@ StreamResult QueryServer::run_stream(std::span<const TrafficQuery> schedule) {
     stats.deadline_ms = std::isfinite(schedule[index].deadline_ms)
                             ? retry.arrival_ms + schedule[index].deadline_ms
                             : kInf;
-    if (serve_from_cache_stream(index, retry.arrival_ms)) return;
+    if (serve_from_cache(result, index, retry.arrival_ms)) return;
     if (pending.size() >= options_.max_pending) {
       shed_or_retry(index, "admission queue full", retry.arrival_ms);
       return;
@@ -671,14 +608,13 @@ StreamResult QueryServer::run_stream(std::span<const TrafficQuery> schedule) {
       const TrafficQuery& query = schedule[index];
       // An invalid source fails on arrival and never occupies queue space.
       if (query.source >= host_csr_.num_vertices()) {
-        result.queries[index].ok = false;
-        result.stats[index].query.status = QueryStatus::kFailed;
-        result.stats[index].query.error = "source vertex out of range";
+        reject(result, index, QueryStatus::kFailed,
+               "source vertex out of range");
         continue;
       }
       // Cache check precedes queue-full shedding: a cache-answerable
       // query never needs (and never takes) queue space.
-      if (serve_from_cache_stream(index, query.arrival_ms)) continue;
+      if (serve_from_cache(result, index, query.arrival_ms)) continue;
       if (pending.size() >= options_.max_pending) {
         shed_or_retry(index, "admission queue full", query.arrival_ms);
         continue;
@@ -686,6 +622,15 @@ StreamResult QueryServer::run_stream(std::span<const TrafficQuery> schedule) {
       pending.push_back(
           {index, query.arrival_ms, result.stats[index].deadline_ms});
     }
+  };
+  // The next schedule arrival or closed-loop re-arrival, whichever is first.
+  const auto next_arrival_ms = [&] {
+    return std::min(next_arrival < order.size()
+                        ? schedule[order[next_arrival]].arrival_ms
+                        : kInf,
+                    next_retry < retries.size()
+                        ? retries[next_retry].arrival_ms
+                        : kInf);
   };
   // Starvation aging: one class of promotion per aging_ms waited.
   const auto promotions_at = [&](const Pending& item, double at_ms) {
@@ -712,28 +657,14 @@ StreamResult QueryServer::run_stream(std::span<const TrafficQuery> schedule) {
     }
 
     if (pending.empty()) {
-      const double next_sched_ms = next_arrival < order.size()
-                                       ? schedule[order[next_arrival]].arrival_ms
-                                       : kInf;
-      const double next_retry_ms = next_retry < retries.size()
-                                       ? retries[next_retry].arrival_ms
-                                       : kInf;
-      const double next_event_ms = std::min(next_sched_ms, next_retry_ms);
+      const double next_event_ms = next_arrival_ms();
       if (!std::isfinite(next_event_ms)) break;
       now_ms = std::max(now_ms, next_event_ms);
       continue;
     }
 
-    update_breaker_states(stream_start_ms + now_ms);
-    std::vector<std::uint8_t> eligible(
-        static_cast<std::size_t>(batch_.num_lanes()), 0);
-    int eligible_lanes = 0;
-    for (int l = 0; l < batch_.num_lanes(); ++l) {
-      if (breakers_[static_cast<std::size_t>(l)].state != BreakerState::kOpen) {
-        eligible[static_cast<std::size_t>(l)] = 1;
-        ++eligible_lanes;
-      }
-    }
+    std::vector<std::uint8_t> eligible;
+    const int num_eligible = eligible_lanes(start_ms_ + now_ms, eligible);
 
     // Head-of-queue selection: lowest effective priority (class minus aging
     // promotions), then earliest deadline, then arrival order — `pending`
@@ -754,32 +685,25 @@ StreamResult QueryServer::run_stream(std::span<const TrafficQuery> schedule) {
 
     // Re-check the cache at dispatch time: an identical source may have
     // published (or gone in flight) while this query sat queued.
-    if (serve_from_cache_stream(item.index, now_ms)) {
+    if (serve_from_cache(result, item.index, now_ms)) {
       pending.erase(head);
       continue;
     }
 
-    if (eligible_lanes == 0) {
+    if (num_eligible == 0) {
       // Every lane's breaker is open: hedge, shed, or wait out the
       // earliest cool-down (charged as host time on that lane's stream so
       // the device makespan covers the outage).
-      if (try_hedge(item.index, now_ms)) {
+      if (try_hedge(result, item.index, now_ms)) {
         pending.erase(head);
         continue;
       }
-      int wait_lane = 0;
-      for (int l = 1; l < batch_.num_lanes(); ++l) {
-        if (breakers_[static_cast<std::size_t>(l)].open_until_ms <
-            breakers_[static_cast<std::size_t>(wait_lane)].open_until_ms) {
-          wait_lane = l;
-        }
-      }
+      const int wait_lane = earliest_reopen_lane();
       const double reopen_rel_ms =
           breakers_[static_cast<std::size_t>(wait_lane)].open_until_ms -
-          stream_start_ms;
+          start_ms_;
       const double projected_finish_ms =
-          std::max(reopen_rel_ms,
-                   batch_.lane_clock_ms(wait_lane) - stream_start_ms) +
+          std::max(reopen_rel_ms, batch_.lane_clock_ms(wait_lane) - start_ms_) +
           batch_.lane_cost_estimate_ms(wait_lane);
       if (options_.shed_on_overload && bounded &&
           projected_finish_ms > item.deadline_ms) {
@@ -788,7 +712,7 @@ StreamResult QueryServer::run_stream(std::span<const TrafficQuery> schedule) {
         continue;
       }
       const double target_rel_ms = std::max(now_ms, reopen_rel_ms);
-      const double gap_ms = (stream_start_ms + target_rel_ms) -
+      const double gap_ms = (start_ms_ + target_rel_ms) -
                             batch_.lane_clock_ms(wait_lane);
       if (gap_ms > 0) {
         batch_.sim().charge_host_ms(gap_ms, batch_.lane_stream(wait_lane));
@@ -803,24 +727,17 @@ StreamResult QueryServer::run_stream(std::span<const TrafficQuery> schedule) {
     double free_rel_ms = kInf;
     for (int l = 0; l < batch_.num_lanes(); ++l) {
       if (!eligible[static_cast<std::size_t>(l)]) continue;
-      free_rel_ms = std::min(free_rel_ms,
-                             batch_.lane_clock_ms(l) - stream_start_ms);
+      free_rel_ms =
+          std::min(free_rel_ms, batch_.lane_clock_ms(l) - start_ms_);
     }
     const double decision_rel_ms = std::max(now_ms, free_rel_ms);
     if (decision_rel_ms > now_ms) {
-      double next_arrival_ms = next_arrival < order.size()
-                                   ? schedule[order[next_arrival]].arrival_ms
-                                   : kInf;
-      if (next_retry < retries.size()) {
-        next_arrival_ms =
-            std::min(next_arrival_ms, retries[next_retry].arrival_ms);
-      }
-      now_ms = std::min(decision_rel_ms, next_arrival_ms);
+      now_ms = std::min(decision_rel_ms, next_arrival_ms());
       continue;
     }
 
     // --- lane choice and load shedding -------------------------------------
-    const double not_before_abs_ms = stream_start_ms + now_ms;
+    const double not_before_abs_ms = start_ms_ + now_ms;
     int lane;
     int preferred_lane;  // what placement alone would pick, ignoring breakers
     if (bounded && options_.lane_policy == LanePolicy::kPredictedFastest) {
@@ -834,10 +751,10 @@ StreamResult QueryServer::run_stream(std::span<const TrafficQuery> schedule) {
     if (options_.shed_on_overload && bounded) {
       const double predicted_finish_ms =
           batch_.lane_predicted_completion_ms(lane, not_before_abs_ms) -
-          stream_start_ms;
+          start_ms_;
       if (predicted_finish_ms > item.deadline_ms) {
         pending.erase(head);
-        if (!try_hedge(item.index, now_ms)) {
+        if (!try_hedge(result, item.index, now_ms)) {
           shed_or_retry(item.index, "predicted deadline miss", now_ms);
         }
         continue;
@@ -850,52 +767,14 @@ StreamResult QueryServer::run_stream(std::span<const TrafficQuery> schedule) {
     stats.rerouted = lane != preferred_lane;
     stats.dispatch_ms = now_ms;
     stats.promotions = promotions_at(item, now_ms);
-    const gpusim::StreamId stream = batch_.lane_stream(lane);
     // An idle lane's clock can lag the decision time; charge the idle gap
     // as host time so the query starts when it was dispatched, not in the
     // past.
     const double idle_gap_ms = not_before_abs_ms - batch_.lane_clock_ms(lane);
     if (idle_gap_ms > 0) {
-      batch_.sim().charge_host_ms(idle_gap_ms, stream);
+      batch_.sim().charge_host_ms(idle_gap_ms, batch_.lane_stream(lane));
     }
-    const std::uint64_t overrun_before =
-        batch_.sim().stream_overrun_kernels(stream);
-    CancelToken token;
-    const CancelToken* cancel = nullptr;
-    if (bounded) {
-      const double abs_deadline_ms = stream_start_ms + item.deadline_ms;
-      batch_.sim().set_stream_deadline(stream, abs_deadline_ms);
-      token = CancelToken(batch_.sim(), stream, abs_deadline_ms);
-      cancel = &token;
-    }
-    QueryBatch::LaneOutcome outcome =
-        batch_.run_on_lane(lane, schedule[item.index].source, cancel);
-    if (bounded) batch_.sim().clear_stream_deadline(stream);
-    stats.overrun_kernels =
-        batch_.sim().stream_overrun_kernels(stream) - overrun_before;
-
-    record_outcome(lane, outcome);
-    try_migrate(schedule[item.index].source, bounded,
-                stream_start_ms + item.deadline_ms, outcome, lane,
-                stats.overrun_kernels);
-
-    stats.finish_ms = batch_.lane_clock_ms(lane) - stream_start_ms;
-    stats.query = std::move(outcome.stats);
-    if (stats.query.status == QueryStatus::kOk ||
-        stats.query.status == QueryStatus::kRecovered ||
-        stats.query.status == QueryStatus::kCpuFallback) {
-      stats.sojourn_ms = stats.finish_ms - stats.arrival_ms;
-    }
-    result.recovery.faults_injected += outcome.result.recovery.faults_injected;
-    result.recovery.ecc_corrected += outcome.result.recovery.ecc_corrected;
-    result.recovery.retries += outcome.result.recovery.retries;
-    result.recovery.resumed += outcome.result.recovery.resumed;
-    result.recovery.cpu_fallbacks += outcome.result.recovery.cpu_fallbacks;
-    result.recovery.attempts += outcome.result.recovery.attempts;
-    result.recovery.backoff_ms += outcome.result.recovery.backoff_ms;
-    result.recovery.device_lost =
-        result.recovery.device_lost || outcome.result.recovery.device_lost;
-    result.queries[item.index] = std::move(outcome.result);
+    dispatch(result, item.index, lane);
     // Closed-loop: a dispatched query that still missed its deadline comes
     // back like a shed one (the client cannot tell the difference).
     if (stats.query.status == QueryStatus::kDeadlineExceeded) {
@@ -903,56 +782,7 @@ StreamResult QueryServer::run_stream(std::span<const TrafficQuery> schedule) {
     }
   }
 
-  // --- aggregates ---------------------------------------------------------
-  for (std::size_t i = 0; i < schedule.size(); ++i) {
-    const StreamQueryStats& stats = result.stats[i];
-    ClassTally& tally = result.classes[static_cast<std::size_t>(stats.cls)];
-    ++tally.offered;
-    switch (stats.query.status) {
-      case QueryStatus::kOk:
-        ++result.ok_queries;
-        ++tally.completed;
-        break;
-      case QueryStatus::kRecovered:
-        ++result.recovered_queries;
-        ++tally.completed;
-        break;
-      case QueryStatus::kCpuFallback:
-        ++result.fallback_queries;
-        ++tally.completed;
-        break;
-      case QueryStatus::kFailed:
-        ++result.failed_queries;
-        ++tally.failed;
-        break;
-      case QueryStatus::kDeadlineExceeded:
-        ++result.deadline_queries;
-        ++tally.missed;
-        break;
-      case QueryStatus::kShedded:
-        ++result.shed_queries;
-        ++tally.shed;
-        break;
-      case QueryStatus::kCacheHit:
-        ++result.cached_queries;
-        ++tally.completed;
-        break;
-    }
-    if (stats.hedged) ++result.hedged_queries;
-    if (stats.rerouted) ++result.rerouted_queries;
-    if (stats.single_flight) ++result.joined_queries;
-    if (stats.query.warm_started) ++result.warm_started_queries;
-    if (stats.query.migrated) ++result.migrated_queries;
-    if (result.queries[i].recovery.resumed > 0) ++result.resumed_queries;
-    result.overrun_kernels += stats.overrun_kernels;
-  }
-  result.device_makespan_ms = batch_.sim().elapsed_ms() - stream_start_ms;
-  result.makespan_ms =
-      std::max(result.device_makespan_ms, host_clock_ms_ - host_start_ms);
-  result.breaker_events.assign(
-      event_log_.begin() + static_cast<std::ptrdiff_t>(events_drained_),
-      event_log_.end());
-  events_drained_ = event_log_.size();
+  end_call(result);
   return result;
 }
 

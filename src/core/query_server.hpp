@@ -84,6 +84,7 @@ struct CircuitBreakerOptions {
 
 struct QueryServerOptions {
   QueryBatchOptions batch;
+  // run() only: run_stream() orders by class, then deadline.
   AdmissionPolicy admission = AdmissionPolicy::kFifo;
   // Bounded pending queue: queries offered beyond this are shed on arrival
   // ("admission queue full") before any scheduling work.
@@ -92,7 +93,8 @@ struct QueryServerOptions {
   // completion time is past the deadline. With this off, infeasible queries
   // are dispatched anyway and typically end kDeadlineExceeded.
   bool shed_on_overload = true;
-  // Applied when ServerQuery::deadline_ms is unset (infinity = none).
+  // run() only: applied when ServerQuery::deadline_ms is unset (infinity =
+  // none). run_stream() reads deadlines from the schedule alone.
   double default_deadline_ms = std::numeric_limits<double>::infinity();
   // Serve deadline-infeasible (or all-lanes-open) queries with the host
   // Dijkstra reference when THAT still meets the deadline. The host lane is
@@ -157,50 +159,11 @@ struct BreakerEvent {
   BreakerTransition transition = BreakerTransition::kOpen;
 };
 
-// Per-query serving outcome; `query` is the underlying QueryStats (status,
-// lane stream, device time). All times are relative to the run() start.
-struct ServerQueryStats {
-  QueryStats query;
-  double deadline_ms = std::numeric_limits<double>::infinity();
-  double finish_ms = 0;   // completion time (0 for shed queries)
-  bool hedged = false;    // served on the host lane
-  // Attached single-flight to an identical in-flight source and shares its
-  // outcome (status, distances or failure) at the producer's publish time.
-  bool single_flight = false;
-  // Dispatched on a lane other than the one plain least-loaded placement
-  // would pick, because an open breaker excluded that lane.
-  bool rerouted = false;
-  // Kernels this query completed after its deadline had already passed
-  // (device time between the expiry and the next cancellation point).
-  std::uint64_t overrun_kernels = 0;
-};
-
-struct ServerResult {
-  std::vector<GpuRunResult> queries;     // index-parallel to the input
-  std::vector<ServerQueryStats> stats;   // ditto
-  double makespan_ms = 0;         // span of the run (device and host lanes)
-  double device_makespan_ms = 0;  // device-only span
-  std::uint64_t ok_queries = 0;
-  std::uint64_t recovered_queries = 0;
-  std::uint64_t fallback_queries = 0;  // includes hedged
-  std::uint64_t hedged_queries = 0;
-  std::uint64_t rerouted_queries = 0;  // see ServerQueryStats::rerouted
-  std::uint64_t failed_queries = 0;
-  std::uint64_t deadline_queries = 0;  // kDeadlineExceeded
-  std::uint64_t shed_queries = 0;      // kShedded
-  std::uint64_t cached_queries = 0;    // kCacheHit (no lane touched)
-  std::uint64_t joined_queries = 0;    // single-flight attachments
-  std::uint64_t warm_started_queries = 0;  // dispatched with landmark bounds
-  std::uint64_t resumed_queries = 0;   // >=1 retry seeded from a checkpoint
-  std::uint64_t migrated_queries = 0;  // moved to another lane mid-query
-  std::uint64_t overrun_kernels = 0;   // summed over all queries
-  RecoveryStats recovery;              // summed over all device queries
-  std::vector<BreakerEvent> breaker_events;  // in occurrence order
-};
-
-// Per-query streaming outcome. All times are relative to the run_stream()
-// call's start on the simulated clock; deadline_ms here is ABSOLUTE within
-// the stream (arrival + the query's relative deadline).
+// Per-query serving outcome of run() or run_stream(); `query` is the
+// underlying QueryStats (status, lane stream, device time). All times are
+// relative to the call's start on the simulated clock; deadline_ms here is
+// ABSOLUTE within the call (arrival + the query's relative deadline).
+// run() has every query arrive at 0 and leaves dispatch_ms at 0.
 struct StreamQueryStats {
   QueryStats query;
   TrafficClass cls = TrafficClass::kBestEffort;
@@ -218,8 +181,14 @@ struct StreamQueryStats {
   // absolute deadline.
   int arrivals = 1;
   bool hedged = false;     // served on the host lane
-  bool rerouted = false;   // see ServerQueryStats::rerouted
-  bool single_flight = false;  // see ServerQueryStats::single_flight
+  // Dispatched on a lane other than the one placement alone would pick,
+  // because an open breaker excluded that lane.
+  bool rerouted = false;
+  // Attached single-flight to an identical in-flight source and shares its
+  // outcome (status, distances or failure) at the producer's publish time.
+  bool single_flight = false;
+  // Kernels this query completed after its deadline had already passed
+  // (device time between the expiry and the next cancellation point).
   std::uint64_t overrun_kernels = 0;
 };
 
@@ -232,10 +201,11 @@ struct ClassTally {
   std::uint64_t failed = 0;
 };
 
+// What run() and run_stream() return.
 struct StreamResult {
   std::vector<GpuRunResult> queries;    // index-parallel to the input
   std::vector<StreamQueryStats> stats;  // ditto
-  double makespan_ms = 0;         // span of the stream (device and host)
+  double makespan_ms = 0;         // span of the call (device and host)
   double device_makespan_ms = 0;  // device-only span
   std::uint64_t ok_queries = 0;
   std::uint64_t recovered_queries = 0;
@@ -252,9 +222,9 @@ struct StreamResult {
   std::uint64_t migrated_queries = 0;  // moved to another lane mid-query
   std::uint64_t retried_arrivals = 0;  // closed-loop re-arrivals scheduled
   std::uint64_t retry_exhausted = 0;   // sheds/misses past the retry budget
-  std::uint64_t overrun_kernels = 0;
+  std::uint64_t overrun_kernels = 0;   // summed over all queries
   std::array<ClassTally, kNumTrafficClasses> classes{};
-  RecoveryStats recovery;
+  RecoveryStats recovery;              // summed over all device queries
   std::vector<BreakerEvent> breaker_events;  // in occurrence order
 };
 
@@ -263,11 +233,12 @@ class QueryServer {
   QueryServer(const graph::Csr& csr, gpusim::DeviceSpec device,
               QueryServerOptions options = {});
 
-  // Serves one offered batch. All queries "arrive" at the call's start;
-  // results and stats are index-parallel to `queries` regardless of the
-  // dispatch order (EDF may reorder execution). Callable repeatedly —
-  // breaker states, lane EWMAs and device cache state persist across calls.
-  ServerResult run(std::span<const ServerQuery> queries);
+  // Serves one offered batch. All queries "arrive" at the call's start and
+  // each is committed (dispatched, hedged or shed) in admission order, FIFO
+  // or EDF; results and stats are index-parallel to `queries` regardless of
+  // the dispatch order. Callable repeatedly — breaker states, lane EWMAs
+  // and device cache state persist across calls.
+  StreamResult run(std::span<const ServerQuery> queries);
 
   // Serves a traffic schedule (core/traffic.hpp) continuously: each query
   // arrives at its own point on the simulated clock, waits in a bounded
@@ -318,9 +289,22 @@ class QueryServer {
   // passes its own decision time, which can be ahead of the device clock
   // during idle gaps (the clock only advances with work).
   void update_breaker_states(double now_ms);
+  // Updates breaker states at `now_ms`, then marks in `eligible` every lane
+  // whose breaker is not open, `exclude` aside. Returns how many it marked.
+  int eligible_lanes(double now_ms, std::vector<std::uint8_t>& eligible,
+                     int exclude = -1);
+  // The lane whose breaker reopens first (lowest index on ties).
+  int earliest_reopen_lane() const;
   void open_lane(int lane, BreakerTransition transition);
   // Applies one device-query outcome to its lane's breaker.
   void record_outcome(int lane, const QueryBatch::LaneOutcome& outcome);
+  // Runs `source` on `lane` (resumed from `resume` when non-null) under
+  // the absolute deadline `abs_deadline_ms` (infinity = none), adding the
+  // kernels it ran past that deadline to `overrun_kernels`.
+  QueryBatch::LaneOutcome run_lane(int lane, VertexId source,
+                                   double abs_deadline_ms,
+                                   const QueryCheckpoint* resume,
+                                   std::uint64_t& overrun_kernels);
   // Checkpoint-resume migration: when `outcome` is a kFailed query that
   // left a valid checkpoint and another lane's breaker is not open, revive
   // the device if it was lost, re-dispatch on the earliest-free eligible
@@ -330,9 +314,29 @@ class QueryServer {
   // destination's overrun kernels are added to `overrun_kernels`. Returns
   // true when a migration ran (whatever its outcome). At most one
   // migration per query — callers invoke this once.
-  bool try_migrate(VertexId source, bool bounded, double abs_deadline_ms,
+  bool try_migrate(VertexId source, double abs_deadline_ms,
                    QueryBatch::LaneOutcome& outcome, int& lane,
                    std::uint64_t& overrun_kernels);
+
+  // --- per-query steps shared by run() and run_stream() --------------------
+  // begin_call() sizes the result and records the call's start (start_ms_,
+  // host_start_ms_). In between it and end_call(), times are relative to
+  // start_ms_, and each step reads the query's source and deadline from
+  // result.stats[index].
+  StreamResult begin_call(std::size_t num_queries);
+  // Exact cache hit or single-flight join at decision time `at_ms`; a
+  // cache-answerable query is never shed. False when the cache cannot
+  // answer within the query's deadline.
+  bool serve_from_cache(StreamResult& result, std::size_t index,
+                        double at_ms);
+  // Serves the query on the host hedge lane (one serial worker, starting
+  // no earlier than `now_ms`) when that still meets its deadline.
+  bool try_hedge(StreamResult& result, std::size_t index, double now_ms);
+  // Runs the query on `lane` under its deadline, feeds the breaker, tries
+  // a migration on failure, and folds the outcome into `result`.
+  void dispatch(StreamResult& result, std::size_t index, int lane);
+  // Terminal tallies, makespans and the not-yet-reported breaker events.
+  void end_call(StreamResult& result);
 
   QueryServerOptions options_;
   graph::Csr host_csr_;  // original numbering, for the host hedge lane
@@ -340,8 +344,11 @@ class QueryServer {
   std::unique_ptr<ResultCache> cache_;  // null unless options.cache.enabled
   std::vector<LaneBreaker> breakers_;
   double host_clock_ms_ = 0;  // host hedge lane's serial timeline
-  // Breaker transitions accumulate here (trip_lane included); each run()
-  // drains the not-yet-reported tail into its ServerResult.
+  // The running call's start: device clock and host_clock_ms_.
+  double start_ms_ = 0;
+  double host_start_ms_ = 0;
+  // Breaker transitions accumulate here (trip_lane included); each call
+  // drains the not-yet-reported tail into its StreamResult.
   std::vector<BreakerEvent> event_log_;
   std::size_t events_drained_ = 0;
 };

@@ -24,23 +24,6 @@ AttemptFaults scan_attempt_faults(const gpusim::GpuSim& sim,
 GpuRunResult run_with_recovery(gpusim::GpuSim& sim, gpusim::StreamId stream,
                                const RetryPolicy& policy,
                                const graph::Csr& csr, graph::VertexId source,
-                               const std::function<GpuRunResult()>& attempt) {
-  return run_with_recovery(sim, stream, policy, csr, source, attempt,
-                           /*cancel=*/nullptr);
-}
-
-GpuRunResult run_with_recovery(gpusim::GpuSim& sim, gpusim::StreamId stream,
-                               const RetryPolicy& policy,
-                               const graph::Csr& csr, graph::VertexId source,
-                               const std::function<GpuRunResult()>& attempt,
-                               const CancelToken* cancel) {
-  return run_with_recovery(sim, stream, policy, csr, source, attempt, cancel,
-                           /*resume=*/{});
-}
-
-GpuRunResult run_with_recovery(gpusim::GpuSim& sim, gpusim::StreamId stream,
-                               const RetryPolicy& policy,
-                               const graph::Csr& csr, graph::VertexId source,
                                const std::function<GpuRunResult()>& attempt,
                                const CancelToken* cancel,
                                const std::function<bool()>& resume) {

@@ -47,36 +47,26 @@ AttemptFaults scan_attempt_faults(const gpusim::GpuSim& sim,
 // backoff/re-upload time is charged; `csr`/`source` feed the CPU fallback.
 // When fault injection is disabled on `sim` the first attempt is returned
 // as-is (zero overhead beyond the log-size check).
-GpuRunResult run_with_recovery(gpusim::GpuSim& sim, gpusim::StreamId stream,
-                               const RetryPolicy& policy,
-                               const graph::Csr& csr, graph::VertexId source,
-                               const std::function<GpuRunResult()>& attempt);
-
-// Cancel-aware variant for the serving layer (docs/serving.md). `cancel`
-// may be null (identical to the overload above). The deadline dominates the
-// retry policy: an attempt that returns deadline_exceeded is terminal (no
-// retry, no CPU fallback — a late answer is not an answer; hedging is the
-// server's decision, made up front), and an expired token before a retry or
-// before the fallback likewise ends recovery with deadline_exceeded set.
-GpuRunResult run_with_recovery(gpusim::GpuSim& sim, gpusim::StreamId stream,
-                               const RetryPolicy& policy,
-                               const graph::Csr& csr, graph::VertexId source,
-                               const std::function<GpuRunResult()>& attempt,
-                               const CancelToken* cancel);
-
-// Checkpoint-resume variant (docs/serving.md "Checkpoint-resume & lane
-// migration"). `resume` is consulted while preparing each retry, after the
-// backoff charge: when it returns true the engine has re-seeded the next
-// attempt from a host-side QueryCheckpoint — the retry then continues from
-// the salvaged upper bounds instead of rerunning cold, and the result's
-// RecoveryStats::resumed counts it. Label-correcting exactness makes the
-// resumed run bit-identical in distances to a cold one. `resume` may be
-// empty (identical to the overload above).
+//
+// `cancel` (may be null) is the serving layer's deadline
+// (docs/serving.md). The deadline dominates the retry policy: an attempt
+// that returns deadline_exceeded is terminal (no retry, no CPU fallback — a
+// late answer is not an answer; hedging is the server's decision, made up
+// front), and an expired token before a retry or before the fallback
+// likewise ends recovery with deadline_exceeded set.
+//
+// `resume` (may be empty) is checkpoint-resume (docs/serving.md
+// "Checkpoint-resume & lane migration"). It is consulted while preparing
+// each retry, after the backoff charge: when it returns true the engine has
+// re-seeded the next attempt from a host-side QueryCheckpoint — the retry
+// then continues from the salvaged upper bounds instead of rerunning cold,
+// and the result's RecoveryStats::resumed counts it. Label-correcting
+// exactness makes the resumed run bit-identical in distances to a cold one.
 GpuRunResult run_with_recovery(gpusim::GpuSim& sim, gpusim::StreamId stream,
                                const RetryPolicy& policy,
                                const graph::Csr& csr, graph::VertexId source,
                                const std::function<GpuRunResult()>& attempt,
-                               const CancelToken* cancel,
-                               const std::function<bool()>& resume);
+                               const CancelToken* cancel = nullptr,
+                               const std::function<bool()>& resume = {});
 
 }  // namespace rdbs::core

@@ -25,6 +25,19 @@ struct RecoveryStats {
   std::uint64_t attempts = 0;         // device attempts actually run
   double backoff_ms = 0;              // simulated backoff charged (retries)
   bool device_lost = false;           // device was lost during the run
+
+  // Sums every counter; device_lost is sticky.
+  RecoveryStats& operator+=(const RecoveryStats& other) {
+    faults_injected += other.faults_injected;
+    ecc_corrected += other.ecc_corrected;
+    retries += other.retries;
+    resumed += other.resumed;
+    cpu_fallbacks += other.cpu_fallbacks;
+    attempts += other.attempts;
+    backoff_ms += other.backoff_ms;
+    device_lost = device_lost || other.device_lost;
+    return *this;
+  }
 };
 
 struct BucketStats {

@@ -193,6 +193,42 @@ std::vector<std::string> fault_plan(const core::GpuRunResult& result) {
 
 // --- the acceptance sweep ---------------------------------------------------
 
+// Per-run recovery totals are folded with RecoveryStats::operator+= (batch,
+// server and migration sums): every counter adds, device_lost is sticky.
+TEST(FaultInjection, RecoveryStatsSumEveryField) {
+  core::RecoveryStats sum;
+  sum.faults_injected = 1;
+  sum.ecc_corrected = 2;
+  sum.retries = 3;
+  sum.resumed = 4;
+  sum.cpu_fallbacks = 5;
+  sum.attempts = 6;
+  sum.backoff_ms = 0.5;
+  core::RecoveryStats other;
+  other.faults_injected = 10;
+  other.ecc_corrected = 20;
+  other.retries = 30;
+  other.resumed = 40;
+  other.cpu_fallbacks = 50;
+  other.attempts = 60;
+  other.backoff_ms = 0.25;
+  other.device_lost = true;
+
+  EXPECT_EQ(&(sum += other), &sum);
+  EXPECT_EQ(sum.faults_injected, 11u);
+  EXPECT_EQ(sum.ecc_corrected, 22u);
+  EXPECT_EQ(sum.retries, 33u);
+  EXPECT_EQ(sum.resumed, 44u);
+  EXPECT_EQ(sum.cpu_fallbacks, 55u);
+  EXPECT_EQ(sum.attempts, 66u);
+  EXPECT_EQ(sum.backoff_ms, 0.75);
+  EXPECT_TRUE(sum.device_lost);
+  // A later device_lost = false never clears the latch.
+  sum += core::RecoveryStats{};
+  EXPECT_TRUE(sum.device_lost);
+  EXPECT_EQ(sum.attempts, 66u);
+}
+
 TEST(FaultInjection, EverySweptEngineSurvivesEveryFaultClass) {
   const Csr csr = chaos_graph();
   const VertexId source = 7;
@@ -694,7 +730,7 @@ TEST(FaultInjection, DeviceLossDuringHalfOpenProbeReopensTheBreaker) {
   // Stage: a clean warm-up query, then trip the (only) lane.
   std::vector<core::ServerQuery> warm(1);
   warm[0].source = 5;
-  const core::ServerResult warm_result = server.run(warm);
+  const core::StreamResult warm_result = server.run(warm);
   ASSERT_EQ(warm_result.ok_queries, 1u);
   server.trip_lane(0);
   ASSERT_EQ(server.breaker_state(0), core::BreakerState::kOpen);
@@ -710,7 +746,7 @@ TEST(FaultInjection, DeviceLossDuringHalfOpenProbeReopensTheBreaker) {
 
   std::vector<core::ServerQuery> probe(1);
   probe[0].source = 11;
-  const core::ServerResult result = server.run(probe);
+  const core::StreamResult result = server.run(probe);
 
   EXPECT_EQ(server.breaker_state(0), core::BreakerState::kOpen);
   ASSERT_EQ(result.breaker_events.size(), 3u);

@@ -444,14 +444,14 @@ void run_overload_case(const FuzzCase& c, const Csr& csr, int case_index) {
     }
   }
 
-  const core::ServerResult result = server.run(queries);
+  const core::StreamResult result = server.run(queries);
   if (const gpusim::Sanitizer* san = server.batch().sim().sanitizer()) {
     EXPECT_EQ(san->report(), "")
         << "overload case " << case_index << ": " << c.describe();
   }
   ASSERT_EQ(result.queries.size(), queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    const core::ServerQueryStats& sq = result.stats[i];
+    const core::StreamQueryStats& sq = result.stats[i];
     const bool completed = sq.query.status == core::QueryStatus::kOk ||
                            sq.query.status == core::QueryStatus::kRecovered ||
                            sq.query.status == core::QueryStatus::kCpuFallback;

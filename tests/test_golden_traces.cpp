@@ -151,7 +151,7 @@ TEST(GoldenTraces, QueryServerMixedOutcomeBatch) {
   queries[2].deadline_ms = 1e-6;  // expires during its first kernels
   queries[3].source = 113;
   queries[4].source = 250;
-  const core::ServerResult result = server.run(queries);
+  const core::StreamResult result = server.run(queries);
 
   // The batch must actually be mixed, or the snapshot's name lies.
   ASSERT_EQ(result.recovered_queries, 1u);
@@ -169,7 +169,7 @@ TEST(GoldenTraces, QueryServerMixedOutcomeBatch) {
   out << "faults_injected " << result.recovery.faults_injected << '\n';
   out << "backoff_ms " << result.recovery.backoff_ms << '\n';
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    const core::ServerQueryStats& sq = result.stats[i];
+    const core::StreamQueryStats& sq = result.stats[i];
     out << "query " << i << ' '
         << core::query_status_name(sq.query.status) << " finish "
         << sq.finish_ms << " device " << sq.query.device_ms << " overrun "

@@ -50,11 +50,11 @@ bool completed(core::QueryStatus status) {
 // carry none (a late or shed answer is no answer).
 void check_against_oracle(const Csr& csr,
                           const std::vector<core::ServerQuery>& queries,
-                          const core::ServerResult& result) {
+                          const core::StreamResult& result) {
   ASSERT_EQ(result.queries.size(), queries.size());
   ASSERT_EQ(result.stats.size(), queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    const core::ServerQueryStats& sq = result.stats[i];
+    const core::StreamQueryStats& sq = result.stats[i];
     if (completed(sq.query.status)) {
       EXPECT_TRUE(result.queries[i].ok);
       EXPECT_EQ(result.queries[i].sssp.distances,
@@ -77,7 +77,7 @@ TEST(QueryServer, BitIdenticalAcrossRunsForEveryStreamCount) {
   const std::vector<VertexId> sources = {0, 17, 113, 256, 399, 42, 7, 300};
 
   for (const int streams : {1, 4}) {
-    std::vector<core::ServerResult> results;
+    std::vector<core::StreamResult> results;
     std::vector<core::ServerQuery> queries = queries_for(sources);
     // A mixed batch: two queries get a moderate deadline so the serving
     // decisions themselves (not just the distances) are exercised.
@@ -93,8 +93,8 @@ TEST(QueryServer, BitIdenticalAcrossRunsForEveryStreamCount) {
       check_against_oracle(csr, queries, results.back());
     }
 
-    const core::ServerResult& a = results[0];
-    const core::ServerResult& b = results[1];
+    const core::StreamResult& a = results[0];
+    const core::StreamResult& b = results[1];
     EXPECT_EQ(a.makespan_ms, b.makespan_ms);
     EXPECT_EQ(a.shed_queries, b.shed_queries);
     EXPECT_EQ(a.deadline_queries, b.deadline_queries);
@@ -119,7 +119,7 @@ TEST(QueryServer, UnboundedQueriesAllCompleteExactly) {
   options.batch.streams = 2;
   options.batch.gpu.delta0 = 150.0;
   core::QueryServer server(csr, gpusim::test_device(), options);
-  const core::ServerResult result = server.run(queries);
+  const core::StreamResult result = server.run(queries);
 
   EXPECT_EQ(result.ok_queries, queries.size());
   EXPECT_EQ(result.shed_queries, 0u);
@@ -141,7 +141,7 @@ TEST(QueryServer, ImpossibleDeadlineIsCancelledWithPartialMetricsOnly) {
   options.shed_on_overload = false;
   options.hedge_to_cpu = false;
   core::QueryServer server(csr, gpusim::test_device(), options);
-  const core::ServerResult result = server.run(queries);
+  const core::StreamResult result = server.run(queries);
 
   ASSERT_EQ(result.deadline_queries, 1u);
   EXPECT_EQ(result.stats[0].query.status,
@@ -165,7 +165,7 @@ TEST(QueryServer, OverloadIsShedUpFrontNotServedLate) {
   probe_options.batch.streams = 1;
   probe_options.batch.gpu.delta0 = 150.0;
   core::QueryServer probe(csr, gpusim::test_device(), probe_options);
-  const core::ServerResult one =
+  const core::StreamResult one =
       probe.run(std::vector<core::ServerQuery>(queries_for({0})));
   const double one_query_ms = one.stats[0].finish_ms;
   ASSERT_GT(one_query_ms, 0.0);
@@ -175,7 +175,7 @@ TEST(QueryServer, OverloadIsShedUpFrontNotServedLate) {
   core::QueryServer server(csr, gpusim::test_device(), options);
   const std::vector<core::ServerQuery> queries = queries_for(
       {0, 17, 113, 256, 399, 42, 7, 300}, 1.5 * one_query_ms);
-  const core::ServerResult result = server.run(queries);
+  const core::StreamResult result = server.run(queries);
 
   EXPECT_GE(result.ok_queries, 1u);
   EXPECT_GT(result.shed_queries, 0u);
@@ -183,7 +183,7 @@ TEST(QueryServer, OverloadIsShedUpFrontNotServedLate) {
                 result.deadline_queries,
             queries.size());
   check_against_oracle(csr, queries, result);
-  for (const core::ServerQueryStats& sq : result.stats) {
+  for (const core::StreamQueryStats& sq : result.stats) {
     if (sq.query.status == core::QueryStatus::kShedded) {
       EXPECT_EQ(sq.query.device_ms, 0.0);  // shed before any device work
       EXPECT_EQ(sq.query.error, "predicted deadline miss");
@@ -201,7 +201,7 @@ TEST(QueryServer, BoundedPendingQueueShedsArrivalsBeyondCapacity) {
 
   const std::vector<core::ServerQuery> queries =
       queries_for({0, 17, 113, 256, 399});
-  const core::ServerResult result = server.run(queries);
+  const core::StreamResult result = server.run(queries);
   EXPECT_EQ(result.ok_queries, 2u);
   EXPECT_EQ(result.shed_queries, 3u);
   // FIFO admission: the first two in arrival order are the ones served.
@@ -227,7 +227,7 @@ TEST(QueryServer, EdfDispatchesUrgentQueriesFirst) {
   queries[0].deadline_ms = 300.0;
   queries[1].deadline_ms = 200.0;
   queries[2].deadline_ms = 100.0;
-  const core::ServerResult result = server.run(queries);
+  const core::StreamResult result = server.run(queries);
 
   EXPECT_EQ(result.ok_queries, 3u);
   EXPECT_LT(result.stats[2].finish_ms, result.stats[1].finish_ms);
@@ -251,7 +251,7 @@ TEST(QueryServer, HedgesToHostWhenDeviceCannotMeetDeadline) {
   ASSERT_GT(infeasible_ms, server.host_cost_ms());
   const std::vector<core::ServerQuery> queries =
       queries_for({17}, infeasible_ms);
-  const core::ServerResult result = server.run(queries);
+  const core::StreamResult result = server.run(queries);
 
   EXPECT_EQ(result.hedged_queries, 1u);
   EXPECT_EQ(result.fallback_queries, 1u);
@@ -275,11 +275,11 @@ TEST(QueryServer, TrippedLaneIsRoutedAroundWithExactDistances) {
 
   const std::vector<core::ServerQuery> queries =
       queries_for({0, 17, 113, 256, 399, 42, 7, 300});
-  const core::ServerResult result = server.run(queries);
+  const core::StreamResult result = server.run(queries);
 
   EXPECT_EQ(result.ok_queries, queries.size());
   const gpusim::StreamId tripped = server.batch().lane_stream(0);
-  for (const core::ServerQueryStats& sq : result.stats) {
+  for (const core::StreamQueryStats& sq : result.stats) {
     EXPECT_NE(sq.query.stream, tripped);
   }
   check_against_oracle(csr, queries, result);
@@ -312,7 +312,7 @@ TEST(QueryServer, ConsecutiveFaultOutcomesTripThenProbeThenClose) {
 
   const std::vector<core::ServerQuery> queries =
       queries_for({0, 17, 113, 256});
-  const core::ServerResult result = server.run(queries);
+  const core::StreamResult result = server.run(queries);
 
   check_against_oracle(csr, queries, result);
   EXPECT_GT(result.recovery.retries, 0u);
@@ -342,7 +342,7 @@ TEST(QueryServer, BreakerDisabledNeverTripsAutomatically) {
   options.breaker.failure_threshold = 1;
   core::QueryServer server(csr, gpusim::test_device(), options);
 
-  const core::ServerResult result =
+  const core::StreamResult result =
       server.run(std::vector<core::ServerQuery>(queries_for({0, 17, 113})));
   EXPECT_TRUE(result.breaker_events.empty());
   EXPECT_EQ(server.breaker_state(0), core::BreakerState::kClosed);
@@ -361,7 +361,7 @@ TEST(QueryServer, AllLanesOpenWaitsOutCooldownWhenDeadlineAllows) {
   server.trip_lane(1);
 
   const std::vector<core::ServerQuery> queries = queries_for({17});
-  const core::ServerResult result = server.run(queries);
+  const core::StreamResult result = server.run(queries);
 
   // No eligible lane at dispatch: with an unbounded deadline the server
   // waits out the earliest cool-down instead of shedding, probes the lane
@@ -576,7 +576,7 @@ TEST(QueryServer, StreamAgingPromotesStarvedBestEffort) {
   double service_ms = 0;
   {
     core::QueryServer probe(csr, gpusim::test_device(), base);
-    const core::ServerResult two =
+    const core::StreamResult two =
         probe.run(std::vector<core::ServerQuery>(queries_for({17, 17})));
     service_ms = std::min(two.stats[0].finish_ms,
                           two.stats[1].finish_ms - two.stats[0].finish_ms);
@@ -730,20 +730,99 @@ TEST(QueryServer, StatePersistsAcrossRuns) {
   core::QueryServer server(csr, gpusim::test_device(), options);
 
   server.trip_lane(1);
-  const core::ServerResult first =
+  const core::StreamResult first =
       server.run(std::vector<core::ServerQuery>(queries_for({0, 17})));
   ASSERT_EQ(first.breaker_events.size(), 1u);
-  const core::ServerResult second =
+  const core::StreamResult second =
       server.run(std::vector<core::ServerQuery>(queries_for({113, 256})));
   // The trip was already reported; it must not be re-reported, but the
   // lane stays open into the second run.
   EXPECT_TRUE(second.breaker_events.empty());
   EXPECT_EQ(server.breaker_state(1), core::BreakerState::kOpen);
   const gpusim::StreamId tripped = server.batch().lane_stream(1);
-  for (const core::ServerQueryStats& sq : second.stats) {
+  for (const core::StreamQueryStats& sq : second.stats) {
     EXPECT_NE(sq.query.stream, tripped);
   }
   EXPECT_EQ(second.ok_queries, 2u);
+}
+
+// --- burst vs stream admission (docs/serving.md) ---------------------------
+
+// run() commits every query at t=0 in admission order; run_stream() holds
+// queries pending and dispatches when a lane frees. With every arrival at
+// 0, one class, equal (or no) deadlines and earliest-free placement, both
+// rules dispatch the same query onto the same lane at the same time, so the
+// per-query steps they share must give identical outcomes — through load
+// shedding, retries, breaker trips and cool-down waits alike. Sources are
+// distinct and the hedge is off: a repeated cached source and a hedge are
+// where the two rules legitimately part (docs/serving.md).
+TEST(QueryServer, BurstEqualsStreamWhenEveryArrivalIsAtZero) {
+  const Csr csr = server_test_graph();
+  const std::vector<VertexId> sources = {0,   17, 113, 256, 399, 42,
+                                         7,   300, 150, 222, 64, 333};
+  for (const int streams : {1, 2, 4}) {
+    for (const bool faults : {false, true}) {
+      for (const bool cache : {false, true}) {
+        for (const bool bounded : {false, true}) {
+          core::QueryServerOptions options;
+          options.batch.streams = streams;
+          options.batch.gpu.delta0 = 150.0;
+          options.lane_policy = core::LanePolicy::kEarliestFree;
+          options.hedge_to_cpu = false;
+          options.cache.enabled = cache;
+          if (faults) {
+            // Enough faults that lanes trip open and the server waits out
+            // cool-downs.
+            options.batch.gpu.fault.enabled = true;
+            options.batch.gpu.fault.seed = 31;
+            options.batch.gpu.fault.launch_failure = 0.3;
+            options.batch.gpu.fault.max_faults = 64;
+          }
+          core::QueryServer burst(csr, gpusim::test_device(), options);
+          core::QueryServer stream(csr, gpusim::test_device(), options);
+          // A few queries' worth of the cost seed: lanes saturate, so
+          // shedding and deadline misses take part.
+          const double deadline_ms =
+              bounded ? 4.0 * burst.batch().cost_seed_ms()
+                      : std::numeric_limits<double>::infinity();
+          std::vector<core::TrafficQuery> schedule;
+          for (const VertexId s : sources) {
+            core::TrafficQuery q;
+            q.source = s;
+            q.deadline_ms = deadline_ms;
+            schedule.push_back(q);
+          }
+          const core::StreamResult a = burst.run(
+              std::vector<core::ServerQuery>(queries_for(sources, deadline_ms)));
+          const core::StreamResult b = stream.run_stream(schedule);
+
+          SCOPED_TRACE(testing::Message()
+                       << streams << " streams, faults " << faults
+                       << ", cache " << cache << ", bounded " << bounded);
+          ASSERT_EQ(a.stats.size(), b.stats.size());
+          for (std::size_t i = 0; i < sources.size(); ++i) {
+            EXPECT_EQ(a.stats[i].query.status, b.stats[i].query.status) << i;
+            EXPECT_EQ(a.stats[i].query.stream, b.stats[i].query.stream) << i;
+            EXPECT_EQ(a.stats[i].finish_ms, b.stats[i].finish_ms) << i;
+            EXPECT_EQ(a.stats[i].overrun_kernels, b.stats[i].overrun_kernels)
+                << i;
+            EXPECT_EQ(a.queries[i].sssp.distances, b.queries[i].sssp.distances)
+                << i;
+          }
+          EXPECT_EQ(a.makespan_ms, b.makespan_ms);
+          EXPECT_EQ(a.device_makespan_ms, b.device_makespan_ms);
+          EXPECT_EQ(a.breaker_events.size(), b.breaker_events.size());
+          EXPECT_EQ(a.recovery.faults_injected, b.recovery.faults_injected);
+          EXPECT_EQ(a.recovery.retries, b.recovery.retries);
+          EXPECT_EQ(a.recovery.resumed, b.recovery.resumed);
+          EXPECT_EQ(a.recovery.cpu_fallbacks, b.recovery.cpu_fallbacks);
+          EXPECT_EQ(a.recovery.attempts, b.recovery.attempts);
+          EXPECT_EQ(a.recovery.backoff_ms, b.recovery.backoff_ms);
+          EXPECT_EQ(a.recovery.device_lost, b.recovery.device_lost);
+        }
+      }
+    }
+  }
 }
 
 // --- checkpoint-resume & lane migration (docs/serving.md) ------------------
@@ -778,13 +857,13 @@ TEST(QueryServer, MigrationResumesLostQueryOnSurvivingLane) {
   cfg.device_loss = 0.002;  // one loss somewhere mid-stream
   cfg.max_faults = 1;
 
-  core::ServerResult with_migration;
-  core::ServerResult without_migration;
+  core::StreamResult with_migration;
+  core::StreamResult without_migration;
   for (const bool migrate : {true, false}) {
     core::QueryServerOptions options = migration_options(migrate);
     options.batch.gpu.fault = cfg;
     core::QueryServer server(csr, gpusim::test_device(), options);
-    core::ServerResult result =
+    core::StreamResult result =
         server.run(std::vector<core::ServerQuery>(queries_for(sources)));
     (migrate ? with_migration : without_migration) = std::move(result);
   }
@@ -798,7 +877,7 @@ TEST(QueryServer, MigrationResumesLostQueryOnSurvivingLane) {
   // The migrated query finished on a lane other than the one it failed on,
   // and its stats say so.
   bool saw_migrated = false;
-  for (const core::ServerQueryStats& sq : with_migration.stats) {
+  for (const core::StreamQueryStats& sq : with_migration.stats) {
     saw_migrated = saw_migrated || sq.query.migrated;
   }
   EXPECT_TRUE(saw_migrated);
@@ -820,7 +899,7 @@ TEST(QueryServer, MigrationWithoutCheckpointLeavesQueryFailed) {
   options.batch.gpu.checkpoint_interval = 0;  // no snapshots, no resume
   options.batch.gpu.fault = cfg;
   core::QueryServer server(csr, gpusim::test_device(), options);
-  const core::ServerResult result =
+  const core::StreamResult result =
       server.run(std::vector<core::ServerQuery>(queries_for(sources)));
 
   EXPECT_EQ(result.failed_queries, 1u);
@@ -839,7 +918,7 @@ TEST(QueryServer, MigrationBitIdenticalAcrossRuns) {
   cfg.device_loss = 0.002;
   cfg.max_faults = 1;
 
-  std::vector<core::ServerResult> results;
+  std::vector<core::StreamResult> results;
   for (int run = 0; run < 2; ++run) {
     core::QueryServerOptions options = migration_options(true);
     options.batch.gpu.fault = cfg;

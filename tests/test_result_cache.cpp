@@ -275,9 +275,9 @@ TEST(ResultCacheServing, RepeatRunIsServedEntirelyFromCacheBitIdentically) {
   const std::vector<core::ServerQuery> queries =
       queries_for({5, 9, 23, 112, 250});
 
-  const core::ServerResult cold = server.run(queries);
+  const core::StreamResult cold = server.run(queries);
   ASSERT_EQ(cold.cached_queries, 0u);
-  const core::ServerResult warm = server.run(queries);
+  const core::StreamResult warm = server.run(queries);
 
   EXPECT_EQ(warm.cached_queries, queries.size());
   // Exact hits never touch a lane: the repeat run costs zero device time.
@@ -298,7 +298,7 @@ TEST(ResultCacheServing, SingleFlightWaitersShareTheProducersResult) {
   const std::vector<core::ServerQuery> queries =
       queries_for({42, 42, 42, 42, 42, 42});
 
-  const core::ServerResult result = server.run(queries);
+  const core::StreamResult result = server.run(queries);
   // One producer solves; the other five attach to its in-flight entry.
   EXPECT_EQ(result.joined_queries, queries.size() - 1);
   EXPECT_EQ(server.result_cache()->stats().inflight_hits,
@@ -326,7 +326,7 @@ TEST(ResultCacheServing, EpochBumpForcesAFreshSolve) {
 
   (void)server.run(queries);
   server.bump_graph_epoch();
-  const core::ServerResult fresh = server.run(queries);
+  const core::StreamResult fresh = server.run(queries);
   EXPECT_EQ(fresh.cached_queries, 0u);
   EXPECT_EQ(fresh.joined_queries, 0u);
   for (std::size_t i = 0; i < queries.size(); ++i) {
@@ -351,7 +351,7 @@ void check_warm_equals_cold(const Csr& csr, core::BatchEngine engine) {
   core::QueryServer warm_server(csr, gpusim::test_device(), cached);
   (void)warm_server.run(queries_for(landmark_sources));
   ASSERT_EQ(warm_server.result_cache()->num_landmarks(), 3u);
-  const core::ServerResult warm = warm_server.run(queries_for(probes));
+  const core::StreamResult warm = warm_server.run(queries_for(probes));
   // Every probe that any landmark can reach gets warm bounds; a probe in a
   // component no landmark touches (possible on Kronecker, which has
   // isolated vertices) legitimately runs cold.
@@ -362,7 +362,7 @@ void check_warm_equals_cold(const Csr& csr, core::BatchEngine engine) {
   plain.batch.engine = engine;
   plain.cache.enabled = false;
   core::QueryServer cold_server(csr, gpusim::test_device(), plain);
-  const core::ServerResult cold = cold_server.run(queries_for(probes));
+  const core::StreamResult cold = cold_server.run(queries_for(probes));
 
   for (std::size_t i = 0; i < probes.size(); ++i) {
     const std::vector<Distance> oracle = dijkstra_distances(csr, probes[i]);
@@ -404,15 +404,15 @@ TEST(ResultCacheServing, BitIdenticalAcrossRunsForEveryStreamCount) {
       queries_for({9, 5, 17, 23, 23, 250});
 
   for (const int streams : {1, 4}) {
-    std::vector<core::ServerResult> runs1, runs2;
+    std::vector<core::StreamResult> runs1, runs2;
     for (int run = 0; run < 2; ++run) {
       core::QueryServer server(csr, gpusim::test_device(),
                                cached_server_options(streams));
       runs1.push_back(server.run(first));
       runs2.push_back(server.run(second));
     }
-    const auto expect_same = [&](const core::ServerResult& a,
-                                 const core::ServerResult& b) {
+    const auto expect_same = [&](const core::StreamResult& a,
+                                 const core::StreamResult& b) {
       ASSERT_EQ(a.stats.size(), b.stats.size());
       EXPECT_EQ(a.cached_queries, b.cached_queries);
       EXPECT_EQ(a.joined_queries, b.joined_queries);
