@@ -55,6 +55,17 @@ fi
 
 run_config tier1
 
+echo "=== [tier1] perfbench build and unit tests ==="
+# The repo benchmark compiles the library sources with its own CMake project.
+# Configure and build it the way perfbench/run.py does (Release), so a
+# library change that breaks the benchmark build fails here, not when the
+# benchmark runs; then run its metric-arithmetic unit tests.
+cmake -S "$ROOT/perfbench" -B "$BUILD_ROOT/perfbench" \
+  -DCMAKE_BUILD_TYPE=Release
+cmake --build "$BUILD_ROOT/perfbench" -j "$JOBS"
+PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s "$ROOT/perfbench" \
+  -p 'test_*.py'
+
 echo "=== [tier1] result-cache latency guard ==="
 # The cache sweep alone (hot-Zipf schedule, cache on vs off): exact hits
 # must be oracle-exact and bit-identical across two identical runs, and the

@@ -1,8 +1,6 @@
 #include "gpusim/memory.hpp"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 
 #include "common/macros.hpp"
 
@@ -16,6 +14,9 @@ MemorySim::MemorySim(const DeviceSpec& spec)
     l1_.emplace_back(static_cast<std::size_t>(spec.l1_kb_per_sm) * 1024,
                      spec.l1_line_bytes, spec.l1_ways);
   }
+  // 32-bit line tags cover kAddressLimit only with lines of >= 128 bytes.
+  RDBS_CHECK(static_cast<std::uint64_t>(spec.l1_line_bytes) << 32 >=
+             kAddressLimit);
   std::uint32_t spl = static_cast<std::uint32_t>(spec.l1_line_bytes) /
                       SectoredCache::kSectorBytes;
   spl_shift_ = 0;
@@ -25,6 +26,10 @@ MemorySim::MemorySim(const DeviceSpec& spec)
 std::uint64_t MemorySim::allocate(std::uint64_t bytes, std::string name,
                                   std::uint32_t elem_bytes) {
   const std::uint64_t base = next_address_;
+  RDBS_CHECK_MSG(bytes < kAddressLimit - base,
+                 ("allocate: buffer '" + name +
+                  "' would end at or beyond 2^39 bytes of simulated address "
+                  "space").c_str());
   // Zero-byte allocations still advance by one line so region bases stay
   // unique (find_region_index binary-searches on them).
   next_address_ += std::max<std::uint64_t>((bytes + 127) / 128, 1) * 128;
@@ -137,42 +142,6 @@ bool MemorySim::region_poisoned(std::uint64_t addr) const {
 void MemorySim::clear_region_poison(std::uint64_t addr) {
   const std::size_t index = find_region_index(addr);
   if (index != kNoRegion) regions_[index].poisoned = false;
-}
-
-MemorySim::AccessResult MemorySim::access(
-    int sm_id, std::span<const std::uint64_t> addresses, bool cached) {
-  RDBS_DCHECK(sm_id >= 0 && static_cast<std::size_t>(sm_id) < l1_.size());
-  RDBS_DCHECK(addresses.size() <= 32);
-
-  // Coalesce through the shared primitive: sorted distinct sectors,
-  // grouped into (line, sector-mask) pairs so each line costs one tag scan.
-  std::array<std::uint64_t, 32> lane_addrs{};
-  std::array<WarpLineRef, 32> lines{};
-  std::uint32_t lanes = 0;
-  for (const std::uint64_t addr : addresses) lane_addrs[lanes++] = addr;
-  const CoalesceResult co =
-      coalesce_warp_lanes(lane_addrs.data(), lanes, spl_shift_, lines.data());
-
-  AccessResult result;
-  result.transactions = co.sectors;
-
-  SectoredCache& l1 = l1_[static_cast<std::size_t>(sm_id)];
-  for (std::uint32_t i = 0; i < co.lines; ++i) {
-    const WarpLineRef& ref = lines[i];
-    std::uint32_t l2_mask = ref.mask;
-    if (cached) {
-      const std::uint32_t hits = l1.access_line(ref.line, ref.mask);
-      result.hits += static_cast<std::uint32_t>(std::popcount(hits));
-      l2_mask = ref.mask & ~hits;
-    }
-    if (l2_mask == 0) continue;
-    // L1 misses (or L1-bypassing atomics): probe the shared L2.
-    const std::uint32_t l2_hits = l2_.access_line(ref.line, l2_mask);
-    result.l2_hits += static_cast<std::uint32_t>(std::popcount(l2_hits));
-    result.dram_sectors +=
-        static_cast<std::uint32_t>(std::popcount(l2_mask & ~l2_hits));
-  }
-  return result;
 }
 
 SectoredCache& MemorySim::l1(int sm_id) {

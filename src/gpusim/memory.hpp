@@ -1,11 +1,12 @@
 // Global-memory model: a flat simulated address space plus one sectored L1
-// cache per SM. Warp-level accesses are coalesced into 32-byte sector
-// transactions exactly as the hardware's LSU would: lanes touching the same
-// sector share one transaction.
+// cache per SM and the shared L2. Warp-level accesses are coalesced into
+// 32-byte sector transactions exactly as the hardware's LSU would: lanes
+// touching the same sector share one transaction.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,12 +31,94 @@ struct CoalesceResult {
   std::uint32_t lines = 0;           // entries written to line_out
 };
 
-// The shared coalescing primitive (GpuSim's charge path and
-// MemorySim::access both charge through it): sorts the lane addresses in
-// place, then a single pass yields the distinct-address count (atomic-
-// conflict serialization), the distinct-sector count (transactions) and
-// the ascending (line, sector-mask) list. `spl_shift` = log2(sectors per
-// line). `line_out` must hold 32 entries.
+namespace detail {
+
+// Batcher's odd-even merge sort for P = 2^k inputs as a comparator list,
+// built at compile time (P = 32: 191 compare-exchanges).
+struct SortNetwork {
+  std::uint32_t size = 0;
+  std::array<std::uint8_t, 191> lo{};
+  std::array<std::uint8_t, 191> hi{};
+};
+
+template <std::uint32_t P>
+constexpr SortNetwork batcher_network() {
+  SortNetwork net;
+  for (std::uint32_t p = 1; p < P; p <<= 1) {
+    for (std::uint32_t k = p; k >= 1; k >>= 1) {
+      for (std::uint32_t j = k % p; j + k < P; j += 2 * k) {
+        for (std::uint32_t i = 0; i < k && i + j + k < P; ++i) {
+          if ((i + j) / (2 * p) == (i + j + k) / (2 * p)) {
+            net.lo[net.size] = static_cast<std::uint8_t>(i + j);
+            net.hi[net.size] = static_cast<std::uint8_t>(i + j + k);
+            ++net.size;
+          }
+        }
+      }
+    }
+  }
+  return net;
+}
+
+template <std::uint32_t P>
+inline constexpr SortNetwork kBatcherNetwork = batcher_network<P>();
+static_assert(kBatcherNetwork<32>.size == 191);
+
+// Runs the network fully unrolled: constant indices, one branch-free
+// compare-exchange (two conditional moves) per comparator.
+template <std::uint32_t P, std::size_t... C>
+inline void run_network(std::uint64_t* v, std::index_sequence<C...>) {
+  constexpr const SortNetwork& net = kBatcherNetwork<P>;
+  (
+      [&] {
+        const std::uint64_t x = v[net.lo[C]];
+        const std::uint64_t y = v[net.hi[C]];
+        v[net.lo[C]] = x < y ? x : y;
+        v[net.hi[C]] = x < y ? y : x;
+      }(),
+      ...);
+}
+
+// Sorts n <= P values through the P-input network; the padding (all ones,
+// above every simulated address) sorts to the back.
+template <std::uint32_t P>
+inline void network_sort(std::uint64_t* a, std::uint32_t n) {
+  std::array<std::uint64_t, P> v;
+  std::copy_n(a, n, v.begin());
+  std::fill(v.begin() + n, v.end(), ~0ull);
+  run_network<P>(v.data(), std::make_index_sequence<kBatcherNetwork<P>.size>{});
+  std::copy_n(v.begin(), n, a);
+}
+
+// Sorts n <= 32 lane addresses ascending, in place. Lanes already in order
+// (CSR row scans, vertex strips, ring slots) cost one compare pass; any
+// other list goes through a branch-free sorting network padded to the next
+// power of two, whose cost does not depend on how the addresses are spread
+// (docs/costmodel.md, "Charge path", has the measured alternatives).
+inline void sort_lanes(std::uint64_t* a, std::uint32_t n) {
+  bool ascending = true;
+  for (std::uint32_t i = 1; i < n; ++i) ascending &= a[i - 1] <= a[i];
+  if (ascending) return;
+  if (n <= 2) {
+    std::swap(a[0], a[1]);
+  } else if (n <= 4) {
+    network_sort<4>(a, n);
+  } else if (n <= 8) {
+    network_sort<8>(a, n);
+  } else if (n <= 16) {
+    network_sort<16>(a, n);
+  } else {
+    network_sort<32>(a, n);
+  }
+}
+
+}  // namespace detail
+
+// The coalescing primitive of GpuSim's charge path: sorts the lane
+// addresses in place, then a single pass yields the distinct-address count
+// (atomic-conflict serialization), the distinct-sector count (transactions)
+// and the ascending (line, sector-mask) list. `spl_shift` = log2(sectors
+// per line). `line_out` must hold 32 entries.
 inline CoalesceResult coalesce_warp_lanes(std::uint64_t* lane_addrs,
                                           std::uint32_t lanes,
                                           std::uint32_t spl_shift,
@@ -47,16 +130,7 @@ inline CoalesceResult coalesce_warp_lanes(std::uint64_t* lane_addrs,
                    1u << (sector & ((1u << spl_shift) - 1))};
     return {1, 1, 1};
   }
-  // Insertion sort: n <= 32 and warp patterns are mostly presorted
-  // (consecutive lanes touch consecutive elements).
-  for (std::uint32_t i = 1; i < lanes; ++i) {
-    const std::uint64_t key = lane_addrs[i];
-    std::uint32_t j = i;
-    for (; j > 0 && lane_addrs[j - 1] > key; --j) {
-      lane_addrs[j] = lane_addrs[j - 1];
-    }
-    lane_addrs[j] = key;
-  }
+  detail::sort_lanes(lane_addrs, lanes);
   CoalesceResult r;
   const std::uint32_t sector_in_line_mask = (1u << spl_shift) - 1;
   std::uint64_t prev_addr = ~0ull;
@@ -120,9 +194,13 @@ class MemorySim {
   };
 
   // Reserves a 128-byte-aligned region of the simulated address space and
-  // records it in the allocation table.
+  // records it in the allocation table. Aborts, naming the buffer, when the
+  // region would end at or beyond kAddressLimit.
   std::uint64_t allocate(std::uint64_t bytes, std::string name = {},
                          std::uint32_t elem_bytes = 1);
+  // 2^39 bytes: the addresses whose 128-byte line index fits the caches'
+  // 32-bit tags.
+  static constexpr std::uint64_t kAddressLimit = 1ull << 39;
 
   // --- allocation-table maintenance (sanitizer support) --------------------
   // Marks the region at `base` dead (simulated cudaFree). Host storage and
@@ -157,21 +235,6 @@ class MemorySim {
   static constexpr std::size_t kNoRegion = ~static_cast<std::size_t>(0);
   std::size_t find_region_index(std::uint64_t addr) const;
   const std::vector<Region>& regions() const { return regions_; }
-
-  struct AccessResult {
-    std::uint32_t transactions = 0;  // distinct 32B sectors touched
-    std::uint32_t hits = 0;          // sectors found in the SM's L1
-    std::uint32_t l2_hits = 0;       // L1 misses served by the shared L2
-    std::uint32_t dram_sectors = 0;  // sectors that went all the way out
-  };
-
-  // One warp memory instruction on `sm_id` touching the given lane
-  // addresses (one per active lane, at most warp_size entries).
-  // `cached` routes the probe through the SM's L1 (loads/stores); atomics
-  // pass cached = false — they bypass L1 and resolve in the shared L2
-  // (as on Volta/Turing), falling through to DRAM on an L2 miss.
-  AccessResult access(int sm_id, std::span<const std::uint64_t> addresses,
-                      bool cached);
 
   // Direct handles for GpuSim's charge path: each SM's L1 and the shared
   // L2, probed in canonical task order.

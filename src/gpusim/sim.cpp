@@ -54,11 +54,12 @@ void WarpCtx::record_mem(std::uint8_t kind, std::uint32_t lanes) {
   c.active_lane_ops += lanes;
   c.issued_lane_ops += 32;
   ++sim_.launch_ops_;
-  sim_.task_records_[task_].weight += kMemIssueWeight;
   // The trace takes the lanes in original order, before charge_op sorts
   // them in place.
   if (sanitize_) sim_.trace_.append_op(kind, sim_.lanes_.data(), lanes);
-  sim_.charge_op(kind, lanes, task_);
+  TaskRecord& rec = sim_.task_records_[task_];
+  rec.weight += kMemIssueWeight;
+  rec.cycles += sim_.charge_op(kind, lanes, sm_id_);
 }
 
 std::uint64_t WarpCtx::checked_index_slow(const std::string& buffer_name,
@@ -301,9 +302,8 @@ std::uint64_t GpuSim::charge_l2(std::uint64_t line, std::uint32_t mask,
   return cycles;
 }
 
-void GpuSim::charge_op(std::uint8_t kind, std::uint32_t lanes,
-                       std::uint32_t task) {
-  TaskRecord& rec = task_records_[task];
+std::uint64_t GpuSim::charge_op(std::uint8_t kind, std::uint32_t lanes,
+                                int sm) {
   // Deliberately uninitialized: coalesce_warp_lanes writes the first
   // `co.lines` entries and only those are read. Zero-filling 512 bytes per
   // memory instruction showed up in profiles.
@@ -330,7 +330,7 @@ void GpuSim::charge_op(std::uint8_t kind, std::uint32_t lanes,
     }
   } else {
     c.l1_sector_accesses += co.sectors;
-    SectoredCache& l1 = memory_.l1(rec.sm);
+    SectoredCache& l1 = memory_.l1(sm);
     for (std::uint32_t i = 0; i < co.lines; ++i) {
       const std::uint32_t hits = l1.access_line(lines[i].line, lines[i].mask);
       c.l1_sector_hits += static_cast<std::uint64_t>(std::popcount(hits));
@@ -340,7 +340,7 @@ void GpuSim::charge_op(std::uint8_t kind, std::uint32_t lanes,
       }
     }
   }
-  rec.cycles += cycles;
+  return cycles;
 }
 
 void GpuSim::apply_launch_fault(LaunchResult& result) {

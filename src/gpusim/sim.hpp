@@ -672,10 +672,11 @@ class GpuSim {
   void commit_task(const WarpCtx& ctx);
   LaunchResult end_launch(std::uint64_t tasks, bool host_launch);
 
-  // Charges one warp memory instruction whose lane addresses are staged in
-  // lanes_: coalescing, the issuing SM's L1 and the shared L2, all inline.
+  // Charges one warp memory instruction on `sm` whose lane addresses are
+  // staged in lanes_: coalescing, the SM's L1 and the shared L2, all
+  // inline. Updates the counters and returns the instruction's cycles.
   // Sorts lanes_ in place.
-  void charge_op(std::uint8_t kind, std::uint32_t lanes, std::uint32_t task);
+  std::uint64_t charge_op(std::uint8_t kind, std::uint32_t lanes, int sm);
   // Probes the masked sectors of one line in the shared L2, updating the
   // L2/DRAM counters; returns the replay cycles to charge. `cached` marks
   // the load/store path (L2 hits cost kL2ReplayCycles; atomic/volatile hits

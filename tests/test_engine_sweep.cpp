@@ -4,6 +4,9 @@
 // counterpart to test_core_engine's targeted cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <string>
 #include <tuple>
 
 #include "core/adds.hpp"
@@ -29,6 +32,28 @@ struct SweepCase {
   double delta_scale;  // Δ0 = delta_scale x (scheme's natural unit)
   bool t4;             // device: false = testdev, true = T4
 };
+
+// A readable, build-stable label (e.g. "kronecker_int1to1000_x0p25_testdev")
+// for the test names and gtest's parameter printout; without it gtest prints
+// the struct's bytes, padding included, so ctest names changed per build.
+std::string sweep_case_label(const SweepCase& c) {
+  static constexpr const char* kFamilies[] = {"powerlaw", "grid", "kronecker",
+                                              "smallworld"};
+  const char* scheme =
+      c.scheme == WeightScheme::kUniformInt1To1000 ? "int1to1000"
+      : c.scheme == WeightScheme::kUniformReal01   ? "real01"
+                                                   : "unit";
+  std::string scale = std::to_string(c.delta_scale);
+  scale.erase(scale.find_last_not_of('0') + 1);  // "0.250000" -> "0.25"
+  if (scale.back() == '.') scale.pop_back();
+  std::replace(scale.begin(), scale.end(), '.', 'p');
+  return std::string(kFamilies[c.graph_kind]) + "_" + scheme + "_x" + scale +
+         (c.t4 ? "_t4" : "_testdev");
+}
+
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << sweep_case_label(c);
+}
 
 Csr build_graph(const SweepCase& c) {
   graph::EdgeList edges;
@@ -136,8 +161,11 @@ std::vector<SweepCase> sweep_cases() {
   return cases;
 }
 
-INSTANTIATE_TEST_SUITE_P(Families, EngineSweep,
-                         ::testing::ValuesIn(sweep_cases()));
+INSTANTIATE_TEST_SUITE_P(
+    Families, EngineSweep, ::testing::ValuesIn(sweep_cases()),
+    [](const ::testing::TestParamInfo<SweepCase>& case_info) {
+      return sweep_case_label(case_info.param);
+    });
 
 // Zero-weight edges inside a bucket must not hang phase 1 (they re-enqueue
 // into the same bucket until fixpoint).

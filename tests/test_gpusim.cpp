@@ -5,8 +5,12 @@
 // a persistent kernel whose task list grows mid-launch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <map>
+#include <set>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -49,40 +53,279 @@ TEST(Cache, ResetClears) {
   EXPECT_FALSE(cache.access(0));
 }
 
+// --- cache vs. a timestamp-LRU reference ------------------------------------
+
+// The cache model as it stood before recency-ordered sets: 64-bit tags,
+// per-way LRU stamps from a probe tick, the victim the smallest stamp (the
+// lowest way on ties, which only empty ways share), sets by `%`. Kept as
+// the oracle the recency-ordered SectoredCache must match probe by probe.
+class StampLruReference {
+ public:
+  StampLruReference(std::size_t capacity_bytes, int line_bytes, int ways)
+      : ways_(ways) {
+    const auto way_count = static_cast<std::size_t>(ways);
+    const std::size_t total_lines = std::max<std::size_t>(
+        way_count, capacity_bytes / static_cast<std::size_t>(line_bytes));
+    num_sets_ = std::max<std::size_t>(1, total_lines / way_count);
+    const std::size_t slots = num_sets_ * way_count;
+    tags_.assign(slots, ~0ull);
+    sector_masks_.assign(slots, 0);
+    lru_stamps_.assign(slots, 0);
+  }
+
+  std::uint32_t access_line(std::uint64_t line_addr, std::uint32_t mask) {
+    const std::size_t base =
+        static_cast<std::size_t>(line_addr % num_sets_) *
+        static_cast<std::size_t>(ways_);
+    tick_ += static_cast<std::uint64_t>(std::popcount(mask));
+    for (int w = 0; w < ways_; ++w) {
+      const std::size_t slot = base + static_cast<std::size_t>(w);
+      if (tags_[slot] == line_addr) {
+        const std::uint32_t hits = sector_masks_[slot] & mask;
+        sector_masks_[slot] |= mask;
+        lru_stamps_[slot] = tick_;
+        return hits;
+      }
+    }
+    int victim = 0;
+    for (int w = 1; w < ways_; ++w) {
+      if (lru_stamps_[base + static_cast<std::size_t>(w)] <
+          lru_stamps_[base + static_cast<std::size_t>(victim)]) {
+        victim = w;
+      }
+    }
+    const std::size_t slot = base + static_cast<std::size_t>(victim);
+    tags_[slot] = line_addr;
+    sector_masks_[slot] = mask;
+    lru_stamps_[slot] = tick_;
+    return 0;
+  }
+
+ private:
+  int ways_;
+  std::size_t num_sets_;
+  std::uint64_t tick_ = 0;
+  std::vector<std::uint64_t> tags_;
+  std::vector<std::uint32_t> sector_masks_;
+  std::vector<std::uint64_t> lru_stamps_;
+};
+
+// Feeds both caches one seeded access_line sequence and compares the hit
+// masks probe by probe. Lines come from a hot set (re-touches, so hits at
+// every recency depth), a cold range a few times the capacity (evictions),
+// and the top of the 32-bit line range (the largest tags, and set indices
+// far from the fastmod's small-dividend cases). Returns the probes that hit.
+std::uint64_t expect_matches_stamp_lru(std::size_t capacity_bytes, int ways,
+                                       std::uint64_t seed, int probes) {
+  constexpr int kLineBytes = 128;
+  SectoredCache cache(capacity_bytes, kLineBytes, ways);
+  StampLruReference reference(capacity_bytes, kLineBytes, ways);
+  Xoshiro256 rng(seed);
+  const std::uint64_t lines =
+      std::max<std::uint64_t>(capacity_bytes / kLineBytes,
+                              static_cast<std::uint64_t>(ways));
+  const std::uint64_t hot = std::max<std::uint64_t>(2, lines / 2);
+  std::uint64_t hit_probes = 0;
+  for (int i = 0; i < probes; ++i) {
+    std::uint64_t line;
+    switch (rng.next_below(3)) {
+      case 0: line = rng.next_below(hot); break;
+      case 1: line = rng.next_below(4 * lines); break;
+      default:
+        line = SectoredCache::kMaxLine - rng.next_below(4 * lines);
+        break;
+    }
+    const auto mask = static_cast<std::uint32_t>(1 + rng.next_below(15));
+    const std::uint32_t got = cache.access_line(line, mask);
+    const std::uint32_t want = reference.access_line(line, mask);
+    if (got != want) {
+      ADD_FAILURE() << "capacity " << capacity_bytes << " ways " << ways
+                    << " probe " << i << " line " << line << " mask " << mask
+                    << ": hits " << got << ", reference " << want;
+      return hit_probes;
+    }
+    hit_probes += got != 0;
+  }
+  return hit_probes;
+}
+
+void expect_device_caches_match_stamp_lru(const DeviceSpec& spec,
+                                          std::uint64_t seed) {
+  const std::uint64_t l1_hits = expect_matches_stamp_lru(
+      static_cast<std::size_t>(spec.l1_kb_per_sm) * 1024, spec.l1_ways, seed,
+      200000);
+  const std::uint64_t l2_hits = expect_matches_stamp_lru(
+      static_cast<std::size_t>(spec.l2_kb) * 1024, spec.l2_ways, seed + 1,
+      400000);
+  // The sequences must exercise both outcomes to mean anything.
+  EXPECT_GT(l1_hits, 1000u);
+  EXPECT_GT(l2_hits, 1000u);
+}
+
+TEST(CacheOracle, V100MatchesStampLru) {
+  // The L2 has 3,072 sets: the multiply-shift set index path.
+  ASSERT_EQ(v100().l2_kb * 1024 / 128 / v100().l2_ways, 3072);
+  expect_device_caches_match_stamp_lru(v100(), 21);
+}
+
+TEST(CacheOracle, TeslaT4MatchesStampLru) {
+  expect_device_caches_match_stamp_lru(tesla_t4(), 31);
+}
+
+TEST(CacheOracle, TestDeviceMatchesStampLru) {
+  expect_device_caches_match_stamp_lru(test_device(), 41);
+}
+
+TEST(CacheOracle, OddSetCountsMatchStampLru) {
+  // 1 set x 2 ways, and small non-power-of-two set counts (3, 5, 7 sets).
+  EXPECT_GT(expect_matches_stamp_lru(256, 2, 51, 20000), 1000u);
+  for (const int sets : {3, 5, 7}) {
+    EXPECT_GT(expect_matches_stamp_lru(
+                  static_cast<std::size_t>(sets) * 4 * 128, 4,
+                  60 + static_cast<std::uint64_t>(sets), 20000),
+              1000u);
+  }
+}
+
+// --- coalescer vs. std::sort + unique ----------------------------------------
+
+// Checks coalesce_warp_lanes on one lane list against a reference built
+// with std::sort, std::unique and an ordered line map (128B lines).
+void expect_coalesces_like_reference(const std::vector<std::uint64_t>& lanes,
+                                     const char* pattern) {
+  SCOPED_TRACE(::testing::Message() << pattern << ", " << lanes.size()
+                                    << " lanes");
+  std::vector<std::uint64_t> sorted = lanes;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<std::uint64_t> distinct = sorted;
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  std::map<std::uint64_t, std::uint32_t> line_masks;
+  std::set<std::uint64_t> sectors;
+  for (const std::uint64_t addr : distinct) {
+    sectors.insert(addr >> 5);
+    line_masks[addr >> 7] |= 1u << ((addr >> 5) & 3);
+  }
+
+  std::array<std::uint64_t, 32> work{};
+  std::copy(lanes.begin(), lanes.end(), work.begin());
+  std::array<WarpLineRef, 32> out{};
+  const CoalesceResult r = coalesce_warp_lanes(
+      work.data(), static_cast<std::uint32_t>(lanes.size()), 2, out.data());
+  EXPECT_EQ(r.distinct_addrs, distinct.size());
+  EXPECT_EQ(r.sectors, sectors.size());
+  ASSERT_EQ(r.lines, line_masks.size());
+  std::uint32_t i = 0;
+  for (const auto& [line, mask] : line_masks) {
+    EXPECT_EQ(out[i].line, line) << "line entry " << i;
+    EXPECT_EQ(out[i].mask, mask) << "line entry " << i;
+    ++i;
+  }
+  // Multi-lane lists come back sorted in place.
+  if (lanes.size() > 1) {
+    EXPECT_TRUE(std::equal(sorted.begin(), sorted.end(), work.begin()));
+  }
+}
+
+TEST(CoalesceOracle, MatchesSortUniqueReference) {
+  Xoshiro256 rng(71);
+  const std::uint64_t base = 4096 * 37;
+  for (std::uint32_t n = 1; n <= 32; ++n) {
+    std::vector<std::uint64_t> lanes(n);
+    for (std::uint32_t i = 0; i < n; ++i) lanes[i] = base + 4 * i;
+    expect_coalesces_like_reference(lanes, "contiguous");
+    for (const std::uint64_t stride : {8ull, 12ull, 64ull, 136ull, 4096ull}) {
+      for (std::uint32_t i = 0; i < n; ++i) lanes[i] = base + stride * i;
+      expect_coalesces_like_reference(lanes, "strided");
+    }
+    for (std::uint32_t i = 0; i < n; ++i) lanes[i] = base + 8 * (n - 1 - i);
+    expect_coalesces_like_reference(lanes, "reversed");
+    for (int rep = 0; rep < 8; ++rep) {
+      for (std::uint32_t i = 0; i < n; ++i) lanes[i] = base + 8 * i;
+      for (int swaps = 0; swaps < 1 + rep % 3 && n > 1; ++swaps) {
+        std::swap(lanes[rng.next_below(n)], lanes[rng.next_below(n)]);
+      }
+      expect_coalesces_like_reference(lanes, "nearly sorted");
+      for (std::uint32_t i = 0; i < n; ++i) {
+        lanes[i] = base + 8 * rng.next_below(1 + rep % 4);
+      }
+      expect_coalesces_like_reference(lanes, "duplicate-heavy");
+      for (std::uint32_t i = 0; i < n; ++i) {
+        lanes[i] = base + rng.next_below(96);
+      }
+      expect_coalesces_like_reference(lanes, "1-byte elements");
+      for (std::uint32_t i = 0; i < n; ++i) {
+        lanes[i] = base + 8 * rng.next_below(1u << (4 + 3 * (rep % 6)));
+      }
+      expect_coalesces_like_reference(lanes, "scattered");
+      for (std::uint32_t i = 0; i < n; ++i) {
+        lanes[i] = rng.next_below(MemorySim::kAddressLimit);
+      }
+      expect_coalesces_like_reference(lanes, "scattered, full range");
+    }
+  }
+}
+
+// --- the charge path's memory accounting ------------------------------------
+
 TEST(Memory, CoalescedAccessIsOneTransactionPerSector) {
-  MemorySim memory(test_device());
-  // 8 consecutive 4-byte elements = 32 bytes = 1 sector.
-  std::array<std::uint64_t, 8> addrs{};
-  for (int i = 0; i < 8; ++i) addrs[i] = 1000 * 0 + 4096 + i * 4;
-  const auto result = memory.access(0, addrs, true);
-  EXPECT_EQ(result.transactions, 1u);
+  GpuSim sim(test_device());
+  auto buf = sim.alloc<std::uint32_t>("x", 64);
+  sim.run_kernel(Schedule::kStatic, 1, 1, [&](WarpCtx& ctx, std::uint64_t) {
+    // 8 consecutive 4-byte elements = 32 bytes = 1 sector.
+    const std::array<std::uint64_t, 8> idx{0, 1, 2, 3, 4, 5, 6, 7};
+    std::array<std::uint32_t, 8> out{};
+    ctx.load(buf, std::span<const std::uint64_t>(idx),
+             std::span<std::uint32_t>(out));
+  });
+  EXPECT_EQ(sim.counters().memory_transactions, 1u);
+  EXPECT_EQ(sim.counters().l1_sector_accesses, 1u);
 }
 
 TEST(Memory, ScatteredAccessIsOneTransactionPerLane) {
-  MemorySim memory(test_device());
-  std::array<std::uint64_t, 8> addrs{};
-  for (int i = 0; i < 8; ++i) addrs[i] = 4096 + i * 4096;  // far apart
-  const auto result = memory.access(0, addrs, true);
-  EXPECT_EQ(result.transactions, 8u);
+  GpuSim sim(test_device());
+  auto buf = sim.alloc<std::uint32_t>("x", 8 * 1024);
+  sim.run_kernel(Schedule::kStatic, 1, 1, [&](WarpCtx& ctx, std::uint64_t) {
+    std::array<std::uint64_t, 8> idx{};
+    for (int i = 0; i < 8; ++i) idx[i] = i * 1024;  // 4096 bytes apart
+    std::array<std::uint32_t, 8> out{};
+    ctx.load(buf, std::span<const std::uint64_t>(idx),
+             std::span<std::uint32_t>(out));
+  });
+  EXPECT_EQ(sim.counters().memory_transactions, 8u);
+  EXPECT_EQ(sim.counters().l1_sector_accesses, 8u);
 }
 
 TEST(Memory, PerSmCachesAreIndependent) {
-  MemorySim memory(test_device());
-  const std::array<std::uint64_t, 1> addr{4096};
-  memory.access(0, addr, true);
-  const auto on_sm0 = memory.access(0, addr, true);
-  EXPECT_EQ(on_sm0.hits, 1u);
-  const auto on_sm1 = memory.access(1, addr, true);
-  EXPECT_EQ(on_sm1.hits, 0u);  // SM 1's L1 never saw it
+  GpuSim sim(test_device());
+  auto buf = sim.alloc<double>("x", 8);
+  // Static schedule, one warp per block: task 0 runs on SM 0, task 1 on SM 1.
+  sim.run_kernel(Schedule::kStatic, 2, 1, [&](WarpCtx& ctx, std::uint64_t t) {
+    EXPECT_EQ(ctx.sm_id(), static_cast<int>(t));
+    ctx.load_one(buf, 0);
+    if (t == 0) ctx.load_one(buf, 0);
+  });
+  const Counters& c = sim.counters();
+  EXPECT_EQ(c.l1_sector_accesses, 3u);
+  // Only SM 0's repeat hits; SM 1's L1 never saw the sector (its miss is
+  // served by the shared L2).
+  EXPECT_EQ(c.l1_sector_hits, 1u);
+  EXPECT_EQ(c.l2_sector_hits, 1u);
 }
 
 TEST(Memory, UncachedAccessNeverHits) {
-  MemorySim memory(test_device());
-  const std::array<std::uint64_t, 1> addr{4096};
-  memory.access(0, addr, true);  // warm L1
-  const auto atomic_path = memory.access(0, addr, false);
-  EXPECT_EQ(atomic_path.hits, 0u);
-  EXPECT_EQ(atomic_path.transactions, 1u);
+  GpuSim sim(test_device());
+  auto buf = sim.alloc<double>("x", 8);
+  sim.run_kernel(Schedule::kStatic, 1, 1, [&](WarpCtx& ctx, std::uint64_t) {
+    ctx.load_one(buf, 0);  // warm L1
+    ctx.atomic_min_one(buf, 0, -1.0);
+  });
+  const Counters& c = sim.counters();
+  // The atomic bypasses the warm L1: one transaction, no L1 probe or hit.
+  EXPECT_EQ(c.memory_transactions, 2u);
+  EXPECT_EQ(c.l1_sector_accesses, 1u);
+  EXPECT_EQ(c.l1_sector_hits, 0u);
+  EXPECT_EQ(c.l2_sector_accesses, 2u);
 }
 
 TEST(Memory, AllocationsAreAlignedAndDisjoint) {
@@ -92,6 +335,30 @@ TEST(Memory, AllocationsAreAlignedAndDisjoint) {
   EXPECT_EQ(a % 128, 0u);
   EXPECT_EQ(b % 128, 0u);
   EXPECT_GE(b, a + 100);
+}
+
+TEST(MemoryDeathTest, AllocationPastTagRangeNamesTheBuffer) {
+  // Ending exactly at 2^39 is already out of range.
+  EXPECT_DEATH(
+      {
+        MemorySim memory(test_device());
+        memory.allocate(MemorySim::kAddressLimit - 4096, "edge_buffer");
+      },
+      "edge_buffer");
+  // The last byte below 2^39 fits; the next buffer does not.
+  EXPECT_DEATH(
+      {
+        MemorySim memory(test_device());
+        memory.allocate(MemorySim::kAddressLimit - 4096 - 1, "last_fit");
+        memory.allocate(1, "one_too_many");
+      },
+      "one_too_many");
+  EXPECT_DEATH(
+      {
+        MemorySim memory(test_device());
+        memory.allocate(~0ull, "overflowing");
+      },
+      "overflowing");
 }
 
 class SimTest : public ::testing::Test {

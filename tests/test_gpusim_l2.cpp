@@ -12,32 +12,40 @@ namespace rdbs {
 namespace {
 
 using gpusim::GpuSim;
-using gpusim::MemorySim;
 using gpusim::Schedule;
 using gpusim::WarpCtx;
 
 TEST(L2, L1MissCanHitL2) {
-  MemorySim memory(gpusim::test_device());
-  const std::array<std::uint64_t, 1> addr{4096};
+  GpuSim sim(gpusim::test_device());
+  auto buf = sim.alloc<double>("x", 8);
   // First touch on SM 0: misses both levels.
-  auto first = memory.access(0, addr, true);
-  EXPECT_EQ(first.hits, 0u);
-  EXPECT_EQ(first.l2_hits, 0u);
-  EXPECT_EQ(first.dram_sectors, 1u);
-  // SM 1 misses its own L1 but the shared L2 has the sector now.
-  auto second = memory.access(1, addr, true);
-  EXPECT_EQ(second.hits, 0u);
-  EXPECT_EQ(second.l2_hits, 1u);
-  EXPECT_EQ(second.dram_sectors, 0u);
+  sim.run_kernel(Schedule::kStatic, 1, 1, [&](WarpCtx& ctx, std::uint64_t) {
+    ctx.load_one(buf, 0);
+  });
+  const gpusim::Counters first = sim.counters();
+  EXPECT_EQ(first.l1_sector_hits, 0u);
+  EXPECT_EQ(first.l2_sector_hits, 0u);
+  EXPECT_EQ(first.dram_bytes, 32u);
+  // SM 1 (task 1 of a static one-warp-per-block launch) misses its own L1,
+  // but the shared L2 has the sector now.
+  sim.run_kernel(Schedule::kStatic, 2, 1, [&](WarpCtx& ctx, std::uint64_t t) {
+    if (t == 1) ctx.load_one(buf, 0);
+  });
+  const gpusim::Counters& second = sim.counters();
+  EXPECT_EQ(second.l1_sector_hits, 0u);
+  EXPECT_EQ(second.l2_sector_hits, 1u);
+  EXPECT_EQ(second.dram_bytes, 32u);
 }
 
 TEST(L2, AtomicsShareL2WithLoads) {
-  MemorySim memory(gpusim::test_device());
-  const std::array<std::uint64_t, 1> addr{8192};
-  memory.access(0, addr, true);              // load warms L2
-  auto atomic_path = memory.access(0, addr, false);
-  EXPECT_EQ(atomic_path.l2_hits, 1u);        // atomic hits L2
-  EXPECT_EQ(atomic_path.dram_sectors, 0u);
+  GpuSim sim(gpusim::test_device());
+  auto buf = sim.alloc<double>("x", 8);
+  sim.run_kernel(Schedule::kStatic, 1, 1, [&](WarpCtx& ctx, std::uint64_t) {
+    ctx.load_one(buf, 0);  // load warms L2
+    ctx.atomic_min_one(buf, 0, -1.0);
+  });
+  EXPECT_EQ(sim.counters().l2_sector_hits, 1u);  // atomic hits L2
+  EXPECT_EQ(sim.counters().dram_bytes, 32u);     // only the load's miss
 }
 
 TEST(L2, RepeatedAtomicsStopPayingDram) {
