@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
     double messages = 0, rounds = 0;
     for (const auto s : sources) {
       const auto result = engine.run(s);
-      makespan += result.makespan_ms;
+      makespan += result.gpu.device_ms;
       compute += result.compute_ms;
       exchange += result.exchange_ms;
       messages += static_cast<double>(result.messages);

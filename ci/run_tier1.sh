@@ -53,6 +53,17 @@ if [[ "$ASAN_ONLY" == 1 ]]; then
   exit 0
 fi
 
+echo "=== [tier1] fault-log reads stay in gpusim and the recovery loop ==="
+# Poison checks, fault tagging and recovery bookkeeping live in one place:
+# core::AttemptContext and run_with_recovery (src/core/recovery.*). Any
+# other file under src/ that reads GpuSim::fault_log() is growing its own
+# copy of that scaffolding; route it through the attempt context instead.
+if grep -rnE 'fault_log[[:space:]]*\(' "$ROOT/src" |
+    grep -v -e "^$ROOT/src/gpusim/" -e "^$ROOT/src/core/recovery\."; then
+  echo "fault_log() called outside src/gpusim/ and src/core/recovery.*" >&2
+  exit 1
+fi
+
 run_config tier1
 
 echo "=== [tier1] perfbench build and unit tests ==="

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <stdexcept>
 
 #include "common/macros.hpp"
-#include "core/recovery.hpp"
 
 namespace rdbs::core {
 
@@ -24,9 +22,9 @@ constexpr std::uint64_t kFarTailCell[1] = {2};
 
 AddsLike::AddsLike(gpusim::DeviceSpec device, const graph::Csr& csr,
                    AddsOptions options)
-    : owned_sim_(std::make_unique<gpusim::GpuSim>(std::move(device))),
+    : RecoverableEngine(csr, options.retry),
+      owned_sim_(std::make_unique<gpusim::GpuSim>(std::move(device))),
       sim_(owned_sim_.get()),
-      csr_(csr),
       options_(options) {
   if (options_.sanitize != gpusim::SanitizeMode::kOff) {
     sim_->enable_sanitizer(options_.sanitize);
@@ -38,7 +36,10 @@ AddsLike::AddsLike(gpusim::DeviceSpec device, const graph::Csr& csr,
 AddsLike::AddsLike(gpusim::GpuSim& sim, gpusim::StreamId stream,
                    const graph::Csr& csr, AddsOptions options,
                    const DeviceCsrBuffers* shared_graph)
-    : sim_(&sim), stream_(stream), csr_(csr), options_(options) {
+    : RecoverableEngine(csr, options.retry),
+      sim_(&sim),
+      stream_(stream),
+      options_(options) {
   // Never *disable* here: in shared-sim mode the batch owns the setting.
   if (options_.sanitize != gpusim::SanitizeMode::kOff) {
     sim_->enable_sanitizer(options_.sanitize);
@@ -68,6 +69,8 @@ void AddsLike::init_device_state(const DeviceCsrBuffers* shared_graph) {
   queue_ctrl_ = sim_->alloc<std::uint32_t>("queue_ctrl", 3, kDeviceWord);
   sim_->mark_initialized(queue_ctrl_);
   in_near_ = sim_->alloc<std::uint8_t>("in_near", n, 1);
+  ctx_.attach(*sim_, stream_);
+  ctx_.set_warm_start(options_.warm_start);
 }
 
 void AddsLike::init_distances_kernel(VertexId source) {
@@ -102,77 +105,7 @@ void AddsLike::init_distances_kernel(VertexId source) {
                   /*host_launch=*/true, stream_);
 }
 
-GpuRunResult AddsLike::run(VertexId source) {
-  if (source >= csr_.num_vertices()) {
-    throw std::out_of_range("AddsLike: source vertex out of range");
-  }
-  // A stale snapshot must never seed a different query; resume bounds are
-  // one-shot (see GpuDeltaStepping::run).
-  checkpoint_.clear();
-  GpuRunResult result = run_with_recovery(
-      *sim_, stream_, options_.retry, csr_, source,
-      [&] { return run_attempt(source); }, cancel_,
-      [&] { return resume_from_checkpoint(); });
-  resume_bounds_.clear();
-  return result;
-}
-
-void AddsLike::set_resume_bounds(std::vector<Distance> bounds) {
-  RDBS_CHECK_MSG(bounds.size() == csr_.num_vertices(),
-                 "resume bounds must cover every vertex");
-  resume_bounds_ = std::move(bounds);
-}
-
-const std::vector<Distance>* AddsLike::effective_warm_bounds() const {
-  return resume_bounds_.empty() ? options_.warm_start : &resume_bounds_;
-}
-
-bool AddsLike::resume_from_checkpoint() {
-  if (!checkpoint_.valid()) return false;
-  resume_bounds_ = checkpoint_.bounds;
-  return true;
-}
-
-void AddsLike::maybe_checkpoint() {
-  if (options_.checkpoint_interval <= 0) return;
-  ++boundary_count_;
-  if (boundary_count_ %
-          static_cast<std::uint64_t>(options_.checkpoint_interval) !=
-      0) {
-    return;
-  }
-  // A tainted attempt stops checkpointing — a corrupted bound could lie
-  // below the true distance (core/checkpoint.hpp). The last good snapshot
-  // stands.
-  if (attempt_poisoned() || sim_->buffer_poisoned(dist_)) return;
-  checkpoint_.bounds = dist_.data();
-  sim_->memcpy_d2h(csr_.num_vertices() * kCheckpointWordBytes, stream_);
-  checkpoint_.taken_ms = sim_->stream_elapsed_ms(stream_);
-  checkpoint_.boundaries = boundary_count_;
-  ++checkpoint_.snapshots;
-}
-
-bool AddsLike::check_cancelled() {
-  if (!attempt_cancelled_ && cancel_ != nullptr && cancel_->expired()) {
-    attempt_cancelled_ = true;
-  }
-  return attempt_cancelled_;
-}
-
-bool AddsLike::attempt_poisoned() const {
-  if (sim_->fault_injector() == nullptr) return false;
-  if (sim_->device_lost()) return true;
-  const auto& log = sim_->fault_log();
-  for (std::size_t i = fault_scan_begin_; i < log.size(); ++i) {
-    if (log[i].poisons()) return true;
-  }
-  return false;
-}
-
-GpuRunResult AddsLike::run_attempt(VertexId source) {
-  fault_scan_begin_ = sim_->fault_log().size();
-  attempt_cancelled_ = false;
-  boundary_count_ = 0;
+GpuRunResult AddsLike::attempt(VertexId source, AttemptContext& query) {
   // Stale poison from a discarded attempt must not suppress this attempt's
   // checkpoints — the buffer is re-initialized below (see GpuDeltaStepping).
   sim_->clear_buffer_poison(dist_);
@@ -191,8 +124,8 @@ GpuRunResult AddsLike::run_attempt(VertexId source) {
   // the finite bounds; the source keeps its exact 0. Near-Far is
   // label-correcting, so valid upper bounds preserve exactness.
   std::uint64_t warm_seeded = 0;
-  if (effective_warm_bounds() != nullptr) {
-    const std::vector<Distance>& bounds = *effective_warm_bounds();
+  if (const std::vector<Distance>* warm = query.upper_bounds()) {
+    const std::vector<Distance>& bounds = *warm;
     RDBS_CHECK_MSG(bounds.size() == csr_.num_vertices(),
                    "warm_start bounds must cover every vertex");
     for (VertexId v = 0; v < csr_.num_vertices(); ++v) {
@@ -278,7 +211,7 @@ GpuRunResult AddsLike::run_attempt(VertexId source) {
     if (sim_->device_lost()) break;  // attempt is void; recovery takes over
     // Round boundary (a near drain or a far split is one launch): the
     // Near-Far cancellation point.
-    if (check_cancelled()) break;
+    if (query.cancelled()) break;
     if (near.empty()) {
       // --- Far split: advance the threshold past the smallest far
       // distance, promote entries below it, drop stale duplicates.
@@ -369,7 +302,7 @@ GpuRunResult AddsLike::run_attempt(VertexId source) {
       far.swap(still_far);
       // Round boundary (far split done): consistent upper bounds —
       // snapshot for checkpoint-resume.
-      maybe_checkpoint();
+      query.checkpoint_boundary(dist_, options_.checkpoint_interval);
       continue;
     }
 
@@ -497,11 +430,11 @@ GpuRunResult AddsLike::run_attempt(VertexId source) {
     }
     kernel.finish();
     // Round boundary (near pile drained): snapshot for checkpoint-resume.
-    maybe_checkpoint();
+    query.checkpoint_boundary(dist_, options_.checkpoint_interval);
   }
 
   result.sssp.work = work_;
-  if (check_cancelled()) {
+  if (query.cancelled()) {
     // Over deadline: partial metrics only, never partially relaxed
     // distances (the serving contract; docs/serving.md).
     result.ok = false;

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <stdexcept>
 
 #include "common/macros.hpp"
-#include "core/recovery.hpp"
 
 namespace rdbs::core {
 
@@ -24,9 +22,9 @@ constexpr std::uint64_t kHeadCell[1] = {1};
 
 GpuDeltaStepping::GpuDeltaStepping(gpusim::DeviceSpec device, const Csr& csr,
                                    GpuSsspOptions options)
-    : owned_sim_(std::make_unique<gpusim::GpuSim>(std::move(device))),
+    : RecoverableEngine(csr, options.retry),
+      owned_sim_(std::make_unique<gpusim::GpuSim>(std::move(device))),
       sim_(owned_sim_.get()),
-      csr_(csr),
       options_(options) {
   if (options_.sanitize != gpusim::SanitizeMode::kOff) {
     sim_->enable_sanitizer(options_.sanitize);
@@ -39,7 +37,10 @@ GpuDeltaStepping::GpuDeltaStepping(gpusim::GpuSim& sim,
                                    gpusim::StreamId stream, const Csr& csr,
                                    GpuSsspOptions options,
                                    const DeviceCsrBuffers* shared_graph)
-    : sim_(&sim), stream_(stream), csr_(csr), options_(options) {
+    : RecoverableEngine(csr, options.retry),
+      sim_(&sim),
+      stream_(stream),
+      options_(options) {
   // Never *disable* here: in shared-sim mode the batch owns the sanitizer
   // and fault-injection settings and may have enabled them for all lanes.
   if (options_.sanitize != gpusim::SanitizeMode::kOff) {
@@ -82,6 +83,8 @@ void GpuDeltaStepping::init_device_state(const DeviceCsrBuffers* shared_graph) {
   sim_->mark_initialized(queue_ctrl_);
   in_queue_ = sim_->alloc<std::uint8_t>("in_queue", n, 1);
   epoch_.assign(n, ~0ull);
+  ctx_.attach(*sim_, stream_);
+  ctx_.set_warm_start(options_.warm_start);
 }
 
 void GpuDeltaStepping::init_distances_kernel(VertexId source) {
@@ -149,28 +152,26 @@ void GpuDeltaStepping::charge_enqueue(gpusim::WarpCtx& ctx,
                      /*is_store=*/true);
 }
 
-std::uint64_t GpuDeltaStepping::apply_warm_start(VertexId source) {
+void GpuDeltaStepping::apply_warm_start(VertexId source,
+                                        const std::vector<Distance>* bounds) {
   // Warm start (docs/serving.md "Result cache"): caller-provided upper
   // bounds overwrite the infinite tentative distances — one H2D upload of
   // the finite bounds. The source keeps its exact 0 (its "bound" is always
   // >= 0). Exactness: Δ-stepping is label-correcting, so relaxations only
   // ever improve on a valid upper bound, never trust it.
-  const std::vector<Distance>* warm = effective_warm_bounds();
-  if (warm == nullptr) return 0;
-  const std::vector<Distance>& bounds = *warm;
-  RDBS_CHECK_MSG(bounds.size() == csr_.num_vertices(),
+  if (bounds == nullptr) return;
+  RDBS_CHECK_MSG(bounds->size() == csr_.num_vertices(),
                  "warm_start bounds must cover every vertex");
   std::uint64_t seeded = 0;
   for (VertexId v = 0; v < csr_.num_vertices(); ++v) {
-    if (v == source || bounds[v] == graph::kInfiniteDistance) continue;
-    dist_[v] = bounds[v];
+    if (v == source || (*bounds)[v] == graph::kInfiniteDistance) continue;
+    dist_[v] = (*bounds)[v];
     ++seeded;
   }
   if (seeded > 0) sim_->memcpy_h2d(seeded * kDeviceWord, stream_);
-  return seeded;
 }
 
-void GpuDeltaStepping::seed_queue(VertexId source, Weight hi) {
+void GpuDeltaStepping::seed_queue(VertexId source, Weight hi, bool warm) {
   // The host seeds the ring with the source vertex — modeled as an H2D
   // upload (the claimed slots plus the in-queue flags), so the cursors and
   // the first pops' slot reads are accounted for.
@@ -182,7 +183,7 @@ void GpuDeltaStepping::seed_queue(VertexId source, Weight hi) {
   // Warm start: vertices seeded inside the initial window join the seed
   // frontier here. Later windows are collected by the phase-2/3 scan over
   // the live distances, but nothing scans ahead of the first window.
-  if (effective_warm_bounds() != nullptr) {
+  if (warm) {
     for (VertexId v = 0; v < csr_.num_vertices(); ++v) {
       if (v == source || in_queue_[v] != 0) continue;
       if (dist_[v] >= hi) continue;  // also skips untouched infinities
@@ -502,13 +503,13 @@ void GpuDeltaStepping::phase1_async(Weight lo, Weight hi, Weight delta,
 }
 
 void GpuDeltaStepping::phase1_sync(Weight lo, Weight hi, Weight delta,
-                                   BucketStats& stats) {
+                                   BucketStats& stats, AttemptContext& query) {
   // Level-synchronous: each frontier sweep is its own kernel launch with a
   // barrier (the overhead the paper's Motivation 3 quantifies).
   while (!vqueue_.empty()) {
     // Iteration boundary = a host launch boundary: the natural cancellation
     // point of the synchronous mode (the next sweep is simply not launched).
-    if (check_cancelled()) break;
+    if (query.cancelled()) break;
     // Freeze this iteration's frontier; vertices activated during the sweep
     // go to the next iteration.
     std::vector<VertexId> frontier(vqueue_.begin(), vqueue_.end());
@@ -737,78 +738,8 @@ GpuDeltaStepping::ScanOutcome GpuDeltaStepping::phase23(
   return outcome;
 }
 
-GpuRunResult GpuDeltaStepping::run(VertexId source) {
-  if (source >= csr_.num_vertices()) {
-    throw std::out_of_range("GpuDeltaStepping: source vertex out of range");
-  }
-  // A stale snapshot must never seed a different query; the resume bounds
-  // are one-shot (a migrated run consumes them here, retries within this
-  // run refresh them from checkpoint_).
-  checkpoint_.clear();
-  GpuRunResult result = run_with_recovery(
-      *sim_, stream_, options_.retry, csr_, source,
-      [&] { return run_attempt(source); }, cancel_,
-      [&] { return resume_from_checkpoint(); });
-  resume_bounds_.clear();
-  return result;
-}
-
-void GpuDeltaStepping::set_resume_bounds(std::vector<Distance> bounds) {
-  RDBS_CHECK_MSG(bounds.size() == csr_.num_vertices(),
-                 "resume bounds must cover every vertex");
-  resume_bounds_ = std::move(bounds);
-}
-
-const std::vector<Distance>* GpuDeltaStepping::effective_warm_bounds() const {
-  return resume_bounds_.empty() ? options_.warm_start : &resume_bounds_;
-}
-
-bool GpuDeltaStepping::resume_from_checkpoint() {
-  if (!checkpoint_.valid()) return false;
-  resume_bounds_ = checkpoint_.bounds;
-  return true;
-}
-
-void GpuDeltaStepping::maybe_checkpoint() {
-  if (options_.checkpoint_interval <= 0) return;
-  ++boundary_count_;
-  if (boundary_count_ %
-          static_cast<std::uint64_t>(options_.checkpoint_interval) !=
-      0) {
-    return;
-  }
-  // A tainted attempt stops checkpointing: a corrupted tentative distance
-  // could be BELOW the true one, which would break the label-correcting
-  // resume argument. The last good snapshot stands.
-  if (attempt_poisoned() || sim_->buffer_poisoned(dist_)) return;
-  checkpoint_.bounds = dist_.data();
-  sim_->memcpy_d2h(csr_.num_vertices() * kCheckpointWordBytes, stream_);
-  checkpoint_.taken_ms = sim_->stream_elapsed_ms(stream_);
-  checkpoint_.boundaries = boundary_count_;
-  ++checkpoint_.snapshots;
-}
-
-bool GpuDeltaStepping::check_cancelled() {
-  if (!attempt_cancelled_ && cancel_ != nullptr && cancel_->expired()) {
-    attempt_cancelled_ = true;
-  }
-  return attempt_cancelled_;
-}
-
-bool GpuDeltaStepping::attempt_poisoned() const {
-  if (!sim_->fault_injector()) return false;
-  if (sim_->device_lost()) return true;
-  const std::vector<gpusim::GpuFault>& log = sim_->fault_log();
-  for (std::size_t i = fault_scan_begin_; i < log.size(); ++i) {
-    if (log[i].poisons()) return true;
-  }
-  return false;
-}
-
-GpuRunResult GpuDeltaStepping::run_attempt(VertexId source) {
-  fault_scan_begin_ = sim_->fault_log().size();
-  attempt_cancelled_ = false;
-  boundary_count_ = 0;
+GpuRunResult GpuDeltaStepping::attempt(VertexId source,
+                                       AttemptContext& query) {
   // A prior poisoned attempt may have left the distance region flagged
   // (recovery's bulk clear only fires when read-only data was also hit);
   // this attempt re-initializes the buffer, so the stale mark must not
@@ -830,23 +761,25 @@ GpuRunResult GpuDeltaStepping::run_attempt(VertexId source) {
 
   GpuRunResult result;
   init_distances_kernel(source);
-  apply_warm_start(source);
+  const std::vector<Distance>* bounds = query.upper_bounds();
+  apply_warm_start(source, bounds);
 
   if (options_.mode == EngineMode::kSyncPushBellmanFord) {
     // BL: plain synchronous push SSSP. One frontier sweep per kernel
     // launch; every out-edge of every active vertex is relaxed (hi = ∞
     // treats all edges as "light" and re-enqueues every improvement).
     // Warm-seeded vertices all land in the (unbounded) initial frontier.
-    seed_queue(source, graph::kInfiniteDistance);
+    seed_queue(source, graph::kInfiniteDistance, bounds != nullptr);
     ++current_epoch_;
     BucketStats bs;
     bs.delta = graph::kInfiniteDistance;
     bs.high = graph::kInfiniteDistance;
     bs.initial_active = vqueue_.size();
-    phase1_sync(0, graph::kInfiniteDistance, graph::kInfiniteDistance, bs);
+    phase1_sync(0, graph::kInfiniteDistance, graph::kInfiniteDistance, bs,
+                query);
     if (options_.instrument) result.buckets.push_back(bs);
     result.sssp.work = work_;
-    if (check_cancelled()) {
+    if (query.cancelled()) {
       // Over deadline (a late answer is no answer): partial metrics only,
       // never partially relaxed distances.
       result.ok = false;
@@ -868,7 +801,7 @@ GpuRunResult GpuDeltaStepping::run_attempt(VertexId source) {
   Weight delta = controller.current_delta();
   Weight lo = 0;
   Weight hi = delta;
-  seed_queue(source, hi);
+  seed_queue(source, hi, bounds != nullptr);
 
   // Guard against pathological non-termination (cannot occur with
   // non-negative weights, but an experiment harness should fail loudly,
@@ -882,14 +815,14 @@ GpuRunResult GpuDeltaStepping::run_attempt(VertexId source) {
       // Impossible with intact data; a poisoned attempt (corrupted
       // distances) may legitimately spiral and is abandoned here — the
       // retry driver discards it anyway.
-      RDBS_CHECK_MSG(attempt_poisoned(), "bucket loop runaway");
+      RDBS_CHECK_MSG(query.poisoned(), "bucket loop runaway");
       break;
     }
     if (sim_->device_lost()) break;  // attempt is void; stop burning work
     // Bucket boundary: the async mode's cancellation point (a persistent
     // phase-1 kernel runs its bucket to completion — a launched grid cannot
     // be revoked — but the next bucket is never launched).
-    if (check_cancelled()) break;
+    if (query.cancelled()) break;
     ++current_epoch_;
     BucketStats bs;
     bs.delta = delta;
@@ -903,7 +836,7 @@ GpuRunResult GpuDeltaStepping::run_attempt(VertexId source) {
       if (options_.basyn) {
         phase1_async(lo, hi, delta, bs);
       } else {
-        phase1_sync(lo, hi, delta, bs);
+        phase1_sync(lo, hi, delta, bs, query);
       }
     }
     bs.threads_used = sim_->counters().active_lane_ops - threads_before;
@@ -923,11 +856,11 @@ GpuRunResult GpuDeltaStepping::run_attempt(VertexId source) {
     bs.phase23_ms = sim_->stream_elapsed_ms(stream_) - ms_before_phase23;
     // The scan's settled count must agree with the queue-side count: every
     // vertex of the bucket passed through the queue exactly once.
-    RDBS_DCHECK(outcome.converged == bs.converged || attempt_poisoned());
+    RDBS_DCHECK(outcome.converged == bs.converged || query.poisoned());
     if (options_.instrument) result.buckets.push_back(bs);
     // Bucket boundary: the tentative distances are a consistent set of
     // upper bounds here — snapshot them for checkpoint-resume.
-    maybe_checkpoint();
+    query.checkpoint_boundary(dist_, options_.checkpoint_interval);
 
     if (vqueue_.empty()) {
       if (outcome.remaining == 0) break;
@@ -940,7 +873,7 @@ GpuRunResult GpuDeltaStepping::run_attempt(VertexId source) {
       if (vqueue_.empty() && jump.remaining != 0) {
         // A flip between the two scans can shift the observed minimum; the
         // attempt is poisoned and abandoned rather than aborting.
-        RDBS_CHECK_MSG(attempt_poisoned(),
+        RDBS_CHECK_MSG(query.poisoned(),
                        "jump scan failed to find the minimum vertex");
         break;
       }
@@ -952,7 +885,7 @@ GpuRunResult GpuDeltaStepping::run_attempt(VertexId source) {
   }
 
   result.sssp.work = work_;
-  if (check_cancelled()) {
+  if (query.cancelled()) {
     // Over deadline at (or after) the last cancellation point: the serving
     // contract is that a late answer is no answer, so the distances are
     // withheld even when the run happened to finish — only the partial

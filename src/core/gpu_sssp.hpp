@@ -27,11 +27,10 @@
 #include <memory>
 #include <vector>
 
-#include "core/cancel.hpp"
-#include "core/checkpoint.hpp"
 #include "core/delta_controller.hpp"
 #include "core/device_graph.hpp"
 #include "core/options.hpp"
+#include "core/recovery.hpp"
 #include "core/run_metrics.hpp"
 #include "gpusim/sim.hpp"
 #include "graph/csr.hpp"
@@ -44,7 +43,7 @@ using graph::EdgeIndex;
 using graph::VertexId;
 using graph::Weight;
 
-class GpuDeltaStepping {
+class GpuDeltaStepping : public RecoverableEngine {
  public:
   // `csr` must outlive the engine. With options.pro set the graph must have
   // weight-sorted adjacency (reorder::sort_adjacency_by_weight or the full
@@ -64,47 +63,18 @@ class GpuDeltaStepping {
                    const Csr& csr, GpuSsspOptions options,
                    const DeviceCsrBuffers* shared_graph = nullptr);
 
-  // Runs SSSP from `source` (in the *engine graph's* vertex numbering).
-  // When the engine owns its simulator, simulated time/counters are reset
-  // first; either way the result's device_ms / queue_wait_ms / counters
-  // describe exactly this run. With fault injection enabled
-  // (options.fault), the run executes under options.retry: poisoned
-  // attempts are discarded and rerun, and the result carries the typed
-  // faults plus recovery counters (see docs/fault_injection.md). Throws
-  // std::out_of_range for an invalid source.
-  GpuRunResult run(VertexId source);
+  // run(source) (RecoverableEngine): when the engine owns its simulator,
+  // simulated time/counters are reset per attempt; either way the result's
+  // device_ms / queue_wait_ms / counters describe exactly this run. The
+  // context() bindings are polled as follows: the cancel token at every
+  // bucket and phase-1-iteration boundary (an expired run returns
+  // deadline_exceeded with partial metrics and NO distances); the warm or
+  // resume bounds seed every attempt; and with options.checkpoint_interval
+  // set, a snapshot is taken every N bucket boundaries (never in BL mode).
 
   gpusim::GpuSim& sim() { return *sim_; }
   gpusim::StreamId stream() const { return stream_; }
   const GpuSsspOptions& options() const { return options_; }
-
-  // Serving-layer cooperative cancellation (docs/serving.md): while set,
-  // run() polls the token at its bucket and phase-1-iteration boundaries
-  // and, once expired, stops charging device time and returns a result
-  // with deadline_exceeded set, partial metrics and NO distances. The
-  // token must outlive the runs it governs; pass nullptr to detach.
-  void set_cancel_token(const CancelToken* token) { cancel_ = token; }
-
-  // Result-cache warm start (docs/serving.md "Result cache"): rebinds the
-  // upper-bound array (GpuSsspOptions::warm_start) for subsequent runs;
-  // nullptr detaches. The array must outlive every run it seeds (retries
-  // re-apply it on their fresh device state).
-  void set_warm_start(const std::vector<Distance>* bounds) {
-    options_.warm_start = bounds;
-  }
-
-  // --- checkpoint-resume (core/checkpoint.hpp) -----------------------------
-  // Last good snapshot taken by the most recent run() (empty when
-  // options.checkpoint_interval is 0, in BL mode, or when no clean bucket
-  // boundary was reached). Stable until the next run(); the serving layer
-  // moves it out for mid-query lane migration.
-  const QueryCheckpoint& checkpoint() const { return checkpoint_; }
-  QueryCheckpoint take_checkpoint() { return std::move(checkpoint_); }
-  // One-shot resume: the next run() seeds its tentative distances from
-  // `bounds` (ENGINE vertex numbering, one entry per vertex) instead of
-  // options.warm_start — used by lane migration to continue a query that
-  // checkpointed on another lane. Cleared when that run returns.
-  void set_resume_bounds(std::vector<Distance> bounds);
 
  private:
   struct ChildChunk {
@@ -115,21 +85,15 @@ class GpuDeltaStepping {
 
   // One recovery attempt: the full Δ-stepping run, re-initializing all
   // mutable device state first (so a retry starts clean).
-  GpuRunResult run_attempt(VertexId source);
-  // Whether the current attempt already took a poisoning fault — loop
-  // invariants may legitimately break then, and the attempt aborts instead
-  // of the process (it will be discarded by the retry driver anyway).
-  bool attempt_poisoned() const;
-  // Cancellation point: polls the cancel token (latching the outcome so
-  // outer loops unwind too) and returns true once the attempt is over
-  // deadline.
-  bool check_cancelled();
+  GpuRunResult attempt(VertexId source, AttemptContext& query) override;
 
   // --- kernel bodies -------------------------------------------------------
   void init_distances_kernel(VertexId source);
 
   // Phase 1, synchronous mode: one kernel per frontier iteration.
-  void phase1_sync(Weight lo, Weight hi, Weight delta, BucketStats& stats);
+  // Polls query.cancelled() before every iteration.
+  void phase1_sync(Weight lo, Weight hi, Weight delta, BucketStats& stats,
+                   AttemptContext& query);
   // Phase 1, asynchronous mode: one persistent kernel per bucket.
   void phase1_async(Weight lo, Weight hi, Weight delta, BucketStats& stats);
 
@@ -161,24 +125,13 @@ class GpuDeltaStepping {
   // device-side cost — offset load or incremental maintenance — is charged
   // at warp level by the callers).
   EdgeIndex light_end(VertexId v, Weight delta) const;
-  // Host-seeds the phase-1 ring with the source plus — under a warm start —
-  // every warm vertex whose seeded distance already lies inside the initial
-  // window [0, hi).
-  void seed_queue(VertexId source, Weight hi);
-  // The upper bounds seeding this attempt: the one-shot resume bounds when
-  // set (checkpoint-resume dominates — it was produced by an attempt that
-  // had already absorbed the warm start, so it is pointwise at least as
-  // tight), else options_.warm_start, else null.
-  const std::vector<Distance>* effective_warm_bounds() const;
-  // Applies effective_warm_bounds() (if any) onto the freshly initialized
-  // distances; returns the number of vertices seeded.
-  std::uint64_t apply_warm_start(VertexId source);
-  // Bucket boundary hook: every options_.checkpoint_interval boundaries,
-  // snapshot the tentative distances into checkpoint_ (D2H charged) unless
-  // the attempt is tainted by a poisoning fault.
-  void maybe_checkpoint();
-  // run_with_recovery resume hook: seeds the next attempt from checkpoint_.
-  bool resume_from_checkpoint();
+  // Host-seeds the phase-1 ring with the source plus — when the attempt
+  // starts from upper bounds (`warm`) — every seeded vertex whose distance
+  // already lies inside the initial window [0, hi).
+  void seed_queue(VertexId source, Weight hi, bool warm);
+  // Applies `bounds` (AttemptContext::upper_bounds; may be null) onto the
+  // freshly initialized distances.
+  void apply_warm_start(VertexId source, const std::vector<Distance>* bounds);
   void enqueue(gpusim::WarpCtx& ctx, VertexId v, std::uint32_t lanes);
   void charge_enqueue(gpusim::WarpCtx& ctx, std::uint32_t lanes);
 
@@ -189,7 +142,6 @@ class GpuDeltaStepping {
   std::unique_ptr<gpusim::GpuSim> owned_sim_;  // null in shared-sim mode
   gpusim::GpuSim* sim_;                        // never null
   gpusim::StreamId stream_ = 0;
-  const Csr& csr_;
   GpuSsspOptions options_;
 
   // Device-resident data (device element sizes match the CUDA layout:
@@ -212,21 +164,6 @@ class GpuDeltaStepping {
   // epoch_[v] == current_epoch_ iff v was already counted in this bucket.
   std::vector<std::uint64_t> epoch_;
   std::uint64_t current_epoch_ = 0;
-
-  // Fault-log watermark of the current attempt (gfi).
-  std::size_t fault_scan_begin_ = 0;
-
-  // Checkpoint-resume state (core/checkpoint.hpp): last good snapshot of
-  // this run, the current attempt's boundary counter, and the one-shot
-  // bounds a resumed/migrated attempt seeds from.
-  QueryCheckpoint checkpoint_;
-  std::uint64_t boundary_count_ = 0;
-  std::vector<Distance> resume_bounds_;
-
-  // Serving-layer cancellation (null = never cancelled). The latch keeps a
-  // fired cancellation visible to every enclosing loop of the attempt.
-  const CancelToken* cancel_ = nullptr;
-  bool attempt_cancelled_ = false;
 
   sssp::WorkStats work_;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <stdexcept>
 
 #include "common/macros.hpp"
 #include "core/recovery.hpp"
@@ -267,16 +266,13 @@ void Enactor::compute(const Frontier& frontier, const ComputeFunctor& f) {
 
 GpuRunResult sssp(gpusim::DeviceSpec device, const graph::Csr& csr,
                   VertexId source, const GunrockSsspOptions& options) {
-  if (source >= csr.num_vertices()) {
-    throw std::out_of_range("gunrock::sssp: source vertex out of range");
-  }
   Enactor enactor(std::move(device), csr, options.sanitize);
   if (options.fault.enabled) {
     enactor.sim().enable_fault_injection(options.fault);
   }
   // One recovery attempt: the enactor (and its simulator clock) is shared
   // across attempts, so metrics are measured as per-attempt deltas.
-  auto attempt = [&]() -> GpuRunResult {
+  auto attempt = [&](AttemptContext&) -> GpuRunResult {
   const double ms_before = enactor.sim().elapsed_ms();
   const gpusim::Counters counters_before = enactor.sim().counters();
   sssp::WorkStats work;
@@ -369,8 +365,9 @@ GpuRunResult sssp(gpusim::DeviceSpec device, const graph::Csr& csr,
   return result;
   };
 
-  return run_with_recovery(enactor.sim(), /*stream=*/0, options.retry, csr,
-                           source, attempt);
+  AttemptContext query;
+  query.attach(enactor.sim());
+  return run_with_recovery(query, options.retry, csr, source, attempt);
 }
 
 }  // namespace rdbs::core::gunrock

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <stdexcept>
 #include <vector>
 
 #include "common/macros.hpp"
-#include "core/recovery.hpp"
 
 namespace rdbs::core {
 
@@ -31,9 +29,10 @@ HarishNarayanan::HarishNarayanan(gpusim::DeviceSpec device,
                                  gpusim::SanitizeMode sanitize,
                                  const gpusim::FaultConfig& fault,
                                  const RetryPolicy& retry)
-    : sim_(std::move(device)), csr_(csr), retry_(retry) {
+    : RecoverableEngine(csr, retry), sim_(std::move(device)) {
   sim_.enable_sanitizer(sanitize);
   if (fault.enabled) sim_.enable_fault_injection(fault);
+  ctx_.attach(sim_);
   const VertexId n = csr_.num_vertices();
   const EdgeIndex m = csr_.num_edges();
   row_offsets_ = sim_.alloc<EdgeIndex>("row_offsets", n + 1, kDeviceWord);
@@ -57,26 +56,8 @@ HarishNarayanan::HarishNarayanan(gpusim::DeviceSpec device,
   sim_.mark_read_only(weights_);
 }
 
-GpuRunResult HarishNarayanan::run(VertexId source) {
-  if (source >= csr_.num_vertices()) {
-    throw std::out_of_range("HarishNarayanan: source vertex out of range");
-  }
-  return run_with_recovery(sim_, /*stream=*/0, retry_, csr_, source,
-                           [&] { return run_attempt(source); });
-}
-
-bool HarishNarayanan::attempt_poisoned() const {
-  if (sim_.fault_injector() == nullptr) return false;
-  if (sim_.device_lost()) return true;
-  const auto& log = sim_.fault_log();
-  for (std::size_t i = fault_scan_begin_; i < log.size(); ++i) {
-    if (log[i].poisons()) return true;
-  }
-  return false;
-}
-
-GpuRunResult HarishNarayanan::run_attempt(VertexId source) {
-  fault_scan_begin_ = sim_.fault_log().size();
+GpuRunResult HarishNarayanan::attempt(VertexId source,
+                                      AttemptContext& query) {
   sim_.reset_all();
   const VertexId n = csr_.num_vertices();
   const std::uint64_t warps = (n + 31) / 32;
@@ -122,7 +103,7 @@ GpuRunResult HarishNarayanan::run_attempt(VertexId source) {
     if (++iterations >= max_iterations) {
       // Corrupted distances can stall convergence; the poisoned attempt is
       // discarded by the retry driver. A clean-device runaway is a bug.
-      RDBS_CHECK_MSG(attempt_poisoned(), "HN07 failed to converge");
+      RDBS_CHECK_MSG(query.poisoned(), "HN07 failed to converge");
       break;
     }
     ++work.iterations;
@@ -264,10 +245,13 @@ GpuRunResult HarishNarayanan::run_attempt(VertexId source) {
 DavidsonNearFar::DavidsonNearFar(gpusim::DeviceSpec device,
                                  const graph::Csr& csr,
                                  DavidsonOptions options)
-    : sim_(std::move(device)), csr_(csr), options_(options) {
+    : RecoverableEngine(csr, options.retry),
+      sim_(std::move(device)),
+      options_(options) {
   RDBS_CHECK(options_.delta > 0);
   sim_.enable_sanitizer(options_.sanitize);
   if (options_.fault.enabled) sim_.enable_fault_injection(options_.fault);
+  ctx_.attach(sim_);
   const VertexId n = csr_.num_vertices();
   const EdgeIndex m = csr_.num_edges();
   row_offsets_ = sim_.alloc<EdgeIndex>("row_offsets", n + 1, kDeviceWord);
@@ -296,26 +280,8 @@ DavidsonNearFar::DavidsonNearFar(gpusim::DeviceSpec device,
   sim_.mark_read_only(weights_);
 }
 
-GpuRunResult DavidsonNearFar::run(VertexId source) {
-  if (source >= csr_.num_vertices()) {
-    throw std::out_of_range("DavidsonNearFar: source vertex out of range");
-  }
-  return run_with_recovery(sim_, /*stream=*/0, options_.retry, csr_, source,
-                           [&] { return run_attempt(source); });
-}
-
-bool DavidsonNearFar::attempt_poisoned() const {
-  if (sim_.fault_injector() == nullptr) return false;
-  if (sim_.device_lost()) return true;
-  const auto& log = sim_.fault_log();
-  for (std::size_t i = fault_scan_begin_; i < log.size(); ++i) {
-    if (log[i].poisons()) return true;
-  }
-  return false;
-}
-
-GpuRunResult DavidsonNearFar::run_attempt(VertexId source) {
-  fault_scan_begin_ = sim_.fault_log().size();
+GpuRunResult DavidsonNearFar::attempt(VertexId source,
+                                      AttemptContext& /*query*/) {
   sim_.reset_all();
   const VertexId n = csr_.num_vertices();
   sssp::WorkStats work;

@@ -21,34 +21,27 @@
 #include <deque>
 
 #include "core/options.hpp"
+#include "core/recovery.hpp"
 #include "core/run_metrics.hpp"
 #include "gpusim/sim.hpp"
 #include "graph/csr.hpp"
 
 namespace rdbs::core {
 
-class HarishNarayanan {
+class HarishNarayanan : public RecoverableEngine {
  public:
   HarishNarayanan(gpusim::DeviceSpec device, const graph::Csr& csr,
                   gpusim::SanitizeMode sanitize = gpusim::SanitizeMode::kOff,
                   const gpusim::FaultConfig& fault = {},
                   const RetryPolicy& retry = {});
 
-  // Runs SSSP from `source` (under `retry` when fault injection is on).
-  // Throws std::out_of_range for an invalid source.
-  GpuRunResult run(graph::VertexId source);
-
   gpusim::GpuSim& sim() { return sim_; }
 
  private:
-  GpuRunResult run_attempt(graph::VertexId source);
-  bool attempt_poisoned() const;
+  GpuRunResult attempt(graph::VertexId source,
+                       AttemptContext& query) override;
 
   gpusim::GpuSim sim_;
-  const graph::Csr& csr_;
-  RetryPolicy retry_;
-  // Fault-log watermark of the current attempt (gfi).
-  std::size_t fault_scan_begin_ = 0;
 
   gpusim::Buffer<graph::EdgeIndex> row_offsets_;
   gpusim::Buffer<graph::VertexId> adjacency_;
@@ -67,26 +60,19 @@ struct DavidsonOptions {
   RetryPolicy retry;
 };
 
-class DavidsonNearFar {
+class DavidsonNearFar : public RecoverableEngine {
  public:
   DavidsonNearFar(gpusim::DeviceSpec device, const graph::Csr& csr,
                   DavidsonOptions options);
 
-  // Runs SSSP from `source` (under options.retry when fault injection is
-  // on). Throws std::out_of_range for an invalid source.
-  GpuRunResult run(graph::VertexId source);
-
   gpusim::GpuSim& sim() { return sim_; }
 
  private:
-  GpuRunResult run_attempt(graph::VertexId source);
-  bool attempt_poisoned() const;
+  GpuRunResult attempt(graph::VertexId source,
+                       AttemptContext& query) override;
 
   gpusim::GpuSim sim_;
-  const graph::Csr& csr_;
   DavidsonOptions options_;
-  // Fault-log watermark of the current attempt (gfi).
-  std::size_t fault_scan_begin_ = 0;
 
   gpusim::Buffer<graph::EdgeIndex> row_offsets_;
   gpusim::Buffer<graph::VertexId> adjacency_;

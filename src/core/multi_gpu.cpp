@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <deque>
-#include <stdexcept>
 #include <string>
 
 #include "common/macros.hpp"
-#include "sssp/dijkstra.hpp"
 
 namespace rdbs::core {
 
@@ -135,6 +133,7 @@ MultiGpuDeltaStepping::MultiGpuDeltaStepping(gpusim::DeviceSpec device_template,
     shard->sim.mark_read_only(shard->row_offsets);
     shard->sim.mark_read_only(shard->adjacency);
     shard->sim.mark_read_only(shard->weights);
+    ctx_.attach(shard->sim);
     shards_.push_back(std::move(shard));
   }
 }
@@ -167,119 +166,29 @@ bool MultiGpuDeltaStepping::any_device_lost() const {
   return false;
 }
 
-bool MultiGpuDeltaStepping::attempt_poisoned() const {
-  if (any_device_lost()) return true;
-  for (std::size_t d = 0; d < shards_.size(); ++d) {
-    const auto& log = shards_[d]->sim.fault_log();
-    const std::size_t begin =
-        d < fault_scan_begin_.size() ? fault_scan_begin_[d] : 0;
-    for (std::size_t i = begin; i < log.size(); ++i) {
-      if (log[i].poisons()) return true;
-    }
-  }
-  return false;
-}
-
 MultiGpuRunResult MultiGpuDeltaStepping::run(VertexId source) {
-  if (source >= csr_.num_vertices()) {
-    throw std::out_of_range(
-        "MultiGpuDeltaStepping: source vertex out of range");
-  }
-  bool any_injection = any_device_lost();
-  for (const auto& shard : shards_) {
-    any_injection |= shard->sim.fault_injector() != nullptr;
-  }
-  if (!any_injection) {
-    MultiGpuRunResult result = run_attempt(source);
-    result.ok = true;
-    return result;
-  }
-
-  // Manual recovery loop (run_with_recovery drives a single simulator; here
-  // every shard has its own, so faults are scanned per shard and tagged
-  // with the device index).
-  RecoveryStats recovery;
-  std::vector<gpusim::GpuFault> faults;
-  double spent_compute = 0, spent_exchange = 0, spent_makespan = 0;
-  double backoff = std::max(0.0, options_.retry.backoff_ms);
-  const int max_attempts = std::max(1, options_.retry.max_attempts);
-
-  for (int attempt_no = 0; attempt_no < max_attempts; ++attempt_no) {
-    if (any_device_lost()) break;
-    MultiGpuRunResult result = run_attempt(source);
-    bool poisoned = false;
-    for (std::size_t d = 0; d < shards_.size(); ++d) {
-      const auto& log = shards_[d]->sim.fault_log();
-      for (std::size_t i = fault_scan_begin_[d]; i < log.size(); ++i) {
-        gpusim::GpuFault fault = log[i];
-        fault.device = static_cast<int>(d);
-        if (fault.correctable()) ++recovery.ecc_corrected;
-        if (fault.poisons()) poisoned = true;
-        ++recovery.faults_injected;
-        faults.push_back(fault);
-      }
-    }
-    const bool lost = any_device_lost();
-    recovery.device_lost = recovery.device_lost || lost;
-    if (lost) poisoned = true;
-
-    if (!poisoned) {
-      result.compute_ms += spent_compute;
-      result.exchange_ms += spent_exchange;
-      result.makespan_ms += spent_makespan;
-      result.ok = true;
-      result.faults = std::move(faults);
-      result.recovery = recovery;
-      return result;
-    }
-    spent_compute += result.compute_ms;
-    spent_exchange += result.exchange_ms;
-    spent_makespan += result.makespan_ms;
-    if (lost) break;  // a dead shard cannot be re-packed; fall back
-    if (attempt_no + 1 < max_attempts) {
-      ++recovery.retries;
-      spent_makespan += backoff;
-      spent_compute += backoff;
-      // Re-upload any poisoned read-only CSR slices (charged as the max
-      // across shards — the uploads run concurrently).
-      double reupload_ms = 0;
-      for (auto& shard : shards_) {
-        const std::uint64_t bytes =
-            shard->sim.memory().poisoned_read_only_bytes();
-        if (bytes > 0) {
-          reupload_ms = std::max(reupload_ms, shard->sim.memcpy_ms(bytes));
-          shard->sim.memory().clear_poison();
-        }
-      }
-      spent_makespan += reupload_ms;
-      spent_compute += reupload_ms;
-      backoff *= options_.retry.backoff_multiplier;
-    }
-  }
-
-  recovery.device_lost = recovery.device_lost || any_device_lost();
   MultiGpuRunResult result;
-  result.compute_ms = spent_compute;
-  result.exchange_ms = spent_exchange;
-  result.makespan_ms = spent_makespan;
-  result.faults = std::move(faults);
-  if (options_.retry.cpu_fallback) {
-    result.sssp = sssp::dijkstra(csr_, source);
-    ++recovery.cpu_fallbacks;
-    result.ok = true;
-  } else {
-    result.ok = false;
+  result.gpu = run_with_recovery(
+      ctx_, options_.retry, csr_, source,
+      [&](AttemptContext& query) { return attempt(source, query, result); });
+  if (result.gpu.recovery.cpu_fallbacks > 0 || !result.gpu.ok) {
+    result.messages = 0;
+    result.exchange_rounds = 0;
+    result.per_device_busy_ms.clear();
   }
-  result.recovery = recovery;
+  result.compute_ms = result.gpu.device_ms - result.exchange_ms;
   return result;
 }
 
-MultiGpuRunResult MultiGpuDeltaStepping::run_attempt(VertexId source) {
-  fault_scan_begin_.assign(shards_.size(), 0);
-  for (std::size_t d = 0; d < shards_.size(); ++d) {
-    fault_scan_begin_[d] = shards_[d]->sim.fault_log().size();
-  }
-  MultiGpuRunResult result;
+GpuRunResult MultiGpuDeltaStepping::attempt(VertexId source,
+                                            AttemptContext& query,
+                                            MultiGpuRunResult& out) {
+  GpuRunResult result;
+  double compute_ms = 0;
+  double exchange_ms = 0;
+  out.messages = 0;
+  out.exchange_rounds = 0;
+  out.per_device_busy_ms.clear();
   const Weight delta = options_.delta0;
 
   for (auto& shard : shards_) {
@@ -319,7 +228,7 @@ MultiGpuRunResult MultiGpuDeltaStepping::run_attempt(VertexId source) {
       init_ms = std::max(init_ms, shard->sim.elapsed_ms());
       shard->sim.reset_time();
     }
-    result.compute_ms += init_ms;
+    compute_ms += init_ms;
   }
 
   Shard& source_shard = *shards_[static_cast<std::size_t>(owner_of(source))];
@@ -363,8 +272,8 @@ MultiGpuRunResult MultiGpuDeltaStepping::run_attempt(VertexId source) {
     std::uint64_t batch = 0;
     for (auto& box : outbox) batch += box.size();
     if (batch == 0) return false;
-    ++result.exchange_rounds;
-    result.messages += batch;
+    ++out.exchange_rounds;
+    out.messages += batch;
     // All-to-all: pairs transfer concurrently; the bottleneck is the
     // busiest link (approximated by the largest per-destination volume),
     // plus a fixed round latency.
@@ -372,7 +281,7 @@ MultiGpuRunResult MultiGpuDeltaStepping::run_attempt(VertexId source) {
     for (auto& box : outbox) {
       busiest = std::max<std::uint64_t>(busiest, box.size());
     }
-    result.exchange_ms +=
+    exchange_ms +=
         options_.interconnect.latency_us * 1e-3 +
         static_cast<double>(busiest) * kMessageBytes /
             (options_.interconnect.bandwidth_gbps * 1e6);
@@ -466,7 +375,7 @@ MultiGpuRunResult MultiGpuDeltaStepping::run_attempt(VertexId source) {
       // Corrupted distances can stall the bucket walk; the poisoned
       // attempt is discarded by the retry driver. A clean-device runaway
       // is still a hard bug.
-      RDBS_CHECK_MSG(attempt_poisoned(), "multi-GPU bucket loop runaway");
+      RDBS_CHECK_MSG(query.poisoned(), "multi-GPU bucket loop runaway");
       break;
     }
 
@@ -503,7 +412,7 @@ MultiGpuRunResult MultiGpuDeltaStepping::run_attempt(VertexId source) {
         shard->busy_ms += shard->sim.elapsed_ms();
         shard->sim.reset_time();
       }
-      result.compute_ms += round_ms;
+      compute_ms += round_ms;
       const bool exchanged = run_exchange();
       any_work = false;
       for (auto& shard : shards_) any_work |= !shard->frontier.empty();
@@ -582,7 +491,7 @@ MultiGpuRunResult MultiGpuDeltaStepping::run_attempt(VertexId source) {
       shard->busy_ms += shard->sim.elapsed_ms();
       shard->sim.reset_time();
     }
-    result.compute_ms += scan_ms;
+    compute_ms += scan_ms;
 
     bool have_frontier = false;
     for (auto& shard : shards_) have_frontier |= !shard->frontier.empty();
@@ -617,9 +526,10 @@ MultiGpuRunResult MultiGpuDeltaStepping::run_attempt(VertexId source) {
     }
   }
   sssp::finalize_valid_updates(result.sssp, source);
-  result.makespan_ms = result.compute_ms + result.exchange_ms;
+  result.device_ms = compute_ms + exchange_ms;
+  out.exchange_ms += exchange_ms;
   for (const auto& shard : shards_) {
-    result.per_device_busy_ms.push_back(shard->busy_ms);
+    out.per_device_busy_ms.push_back(shard->busy_ms);
   }
   return result;
 }

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "core/options.hpp"
+#include "core/recovery.hpp"
 #include "core/run_metrics.hpp"
 #include "gpusim/sim.hpp"
 #include "graph/csr.hpp"
@@ -55,25 +56,20 @@ struct MultiGpuOptions {
 };
 
 struct MultiGpuRunResult {
-  sssp::SsspResult sssp;
-  double makespan_ms = 0;          // end-to-end simulated time
-  double compute_ms = 0;           // sum over phases of max-device time
-  double exchange_ms = 0;          // interconnect time
+  // Distances and the fault/recovery outcome (gfi: faults carry the shard
+  // index in GpuFault::device; ok == false only with retry.cpu_fallback
+  // disabled). gpu.device_ms is the makespan: end-to-end simulated time
+  // over every attempt, backoff and re-upload included.
+  GpuRunResult gpu;
+  double compute_ms = 0;           // makespan minus exchange_ms
+  double exchange_ms = 0;          // interconnect time, every attempt
+  // The attempt that produced the distances (zero/empty after a CPU
+  // fallback or a typed failure):
   std::uint64_t messages = 0;      // remote relaxations sent
   std::uint64_t exchange_rounds = 0;
   std::vector<double> per_device_busy_ms;  // total busy time per device
 
-  // Fault/recovery outcome (gfi): faults carry the shard index in
-  // GpuFault::device. ok == false only with retry.cpu_fallback disabled.
-  bool ok = true;
-  std::vector<gpusim::GpuFault> faults;
-  RecoveryStats recovery;
-
-  double gteps(std::uint64_t edges) const {
-    return makespan_ms <= 0
-               ? 0.0
-               : static_cast<double>(edges) / (makespan_ms * 1e6);
-  }
+  double gteps(std::uint64_t edges) const { return gpu.gteps(edges); }
 };
 
 class MultiGpuDeltaStepping {
@@ -105,16 +101,17 @@ class MultiGpuDeltaStepping {
  private:
   struct Shard;
 
-  // One recovery attempt (full bucket walk from reset shard clocks).
-  MultiGpuRunResult run_attempt(graph::VertexId source);
-  bool attempt_poisoned() const;
+  // One recovery attempt (full bucket walk from reset shard clocks). Adds
+  // its interconnect time to out.exchange_ms and replaces the message
+  // tallies; the result's device_ms is the attempt's makespan.
+  GpuRunResult attempt(graph::VertexId source, AttemptContext& query,
+                       MultiGpuRunResult& out);
 
   const graph::Csr& csr_;
   MultiGpuOptions options_;
   graph::VertexId shard_size_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  // Per-shard fault-log watermarks of the current attempt (gfi).
-  std::vector<std::size_t> fault_scan_begin_;
+  AttemptContext ctx_;  // one simulator per shard, in shard order
 };
 
 }  // namespace rdbs::core

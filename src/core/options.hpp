@@ -94,7 +94,8 @@ struct GpuSsspOptions {
   // distances right after the init kernel and the covered vertices join the
   // initial frontier window. Δ-stepping is label-correcting, so any valid
   // upper bound preserves exactness (core/result_cache.hpp; docs/serving.md
-  // "Result cache"). Typically rebound per query via set_warm_start().
+  // "Result cache"). Binds the engine's AttemptContext at construction;
+  // typically rebound per query via context().set_warm_start().
   const std::vector<graph::Distance>* warm_start = nullptr;
 
   // --- checkpoint-resume ----------------------------------------------------

@@ -65,7 +65,7 @@ QueryBatch::QueryBatch(const graph::Csr& csr, gpusim::DeviceSpec device,
     lane.stream = s;
     lane.ewma_ms = cost_seed_ms_;
     if (options_.engine == BatchEngine::kRdbs) {
-      lane.rdbs = std::make_unique<GpuDeltaStepping>(
+      lane.engine = std::make_unique<GpuDeltaStepping>(
           *sim_, s, graph_, options_.gpu, graph_bufs_.get());
     } else {
       AddsOptions adds;
@@ -73,8 +73,8 @@ QueryBatch::QueryBatch(const graph::Csr& csr, gpusim::DeviceSpec device,
       adds.fault = options_.gpu.fault;
       adds.retry = options_.gpu.retry;
       adds.checkpoint_interval = options_.gpu.checkpoint_interval;
-      lane.adds = std::make_unique<AddsLike>(*sim_, s, graph_, adds,
-                                             graph_bufs_.get());
+      lane.engine = std::make_unique<AddsLike>(*sim_, s, graph_, adds,
+                                               graph_bufs_.get());
     }
     lanes_.push_back(std::move(lane));
   }
@@ -174,7 +174,11 @@ QueryBatch::LaneOutcome QueryBatch::run_lane_query(
     return out;
   }
 
-  const std::vector<graph::Distance>* warm = nullptr;
+  // The cancel token and the warm bounds are (re)bound before every run, so
+  // a pointer left over from a previous query is never consulted.
+  AttemptContext& query = lane.engine->context();
+  query.set_cancel_token(cancel);
+  query.set_warm_start(nullptr);
   if (resume != nullptr) {
     // Mid-query migration: continue from the checkpoint another lane of
     // this batch produced (already in engine numbering, so no permutation
@@ -185,7 +189,7 @@ QueryBatch::LaneOutcome QueryBatch::run_lane_query(
         sim_->memcpy_ms(static_cast<std::uint64_t>(resume->bounds.size()) *
                         kCheckpointWordBytes),
         lane.stream);
-    lane.set_resume(resume->bounds);
+    query.set_resume_bounds(resume->bounds);
     out.stats.migrated = true;
   } else if (cache_ != nullptr &&
              cache_->warm_bounds(source,
@@ -197,22 +201,15 @@ QueryBatch::LaneOutcome QueryBatch::run_lane_query(
     // never used. The cache speaks the caller's ORIGINAL numbering; the
     // engine wants its (possibly PRO-reordered) own, so bounds are
     // permuted on the way in.
-    if (permuted_) {
-      warm_engine_.resize(graph_.num_vertices());
-      for (VertexId v = 0; v < graph_.num_vertices(); ++v) {
-        warm_engine_[perm_.to_reordered(v)] = warm_bounds_[v];
-      }
-      warm = &warm_engine_;
-    } else {
-      warm = &warm_bounds_;
-    }
+    if (permuted_) warm_engine_ = perm_.permute(warm_bounds_);
+    query.set_warm_start(permuted_ ? &warm_engine_ : &warm_bounds_);
     out.stats.warm_started = true;
   }
 
   const VertexId engine_source =
       permuted_ ? perm_.to_reordered(source) : source;
   try {
-    out.result = lane.run(engine_source, cancel, warm);
+    out.result = lane.engine->run(engine_source);
     if (permuted_ && !out.result.sssp.distances.empty()) {
       out.result.sssp.distances = perm_.unpermute(out.result.sssp.distances);
     }
@@ -243,7 +240,7 @@ QueryBatch::LaneOutcome QueryBatch::run_lane_query(
   // serving layer can migrate it to another lane and resume instead of
   // rejoining the queue cold.
   if (out.stats.status == QueryStatus::kFailed) {
-    out.checkpoint = lane.take_checkpoint();
+    out.checkpoint = query.take_checkpoint();
   }
 
   // Only successful COLD *device* runs teach the admission estimator.

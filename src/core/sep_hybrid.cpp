@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -39,6 +38,7 @@ SepHybrid::SepHybrid(gpusim::DeviceSpec device, const graph::Csr& csr,
   queue_ctrl_ = sim_.alloc<std::uint32_t>("queue_ctrl", 2, kDeviceWord);
   sim_.mark_initialized(queue_ctrl_);
   in_queue_ = sim_.alloc<std::uint8_t>("in_queue", n, 1);
+  ctx_.attach(sim_);
 
   std::copy(csr_.row_offsets().begin(), csr_.row_offsets().end(),
             row_offsets_.data().begin());
@@ -89,14 +89,12 @@ SepMode SepHybrid::choose_mode(std::uint64_t frontier_vertices,
 }
 
 SepRunResult SepHybrid::run(VertexId source) {
-  if (source >= csr_.num_vertices()) {
-    throw std::out_of_range("SepHybrid: source vertex out of range");
-  }
   SepRunResult result;
-  result.gpu = run_with_recovery(sim_, /*stream=*/0, options_.retry, csr_,
-                                 source, [&] {
+  result.gpu = run_with_recovery(ctx_, options_.retry, csr_, source,
+                                 [&](AttemptContext& query) {
                                    result.rounds.clear();
-                                   return run_attempt(source, result.rounds);
+                                   return attempt(source, query,
+                                                  result.rounds);
                                  });
   // After a CPU fallback (or a typed failure) the round log would describe
   // a discarded device attempt, not the distances returned — drop it.
@@ -106,19 +104,8 @@ SepRunResult SepHybrid::run(VertexId source) {
   return result;
 }
 
-bool SepHybrid::attempt_poisoned() const {
-  if (sim_.fault_injector() == nullptr) return false;
-  if (sim_.device_lost()) return true;
-  const auto& log = sim_.fault_log();
-  for (std::size_t i = fault_scan_begin_; i < log.size(); ++i) {
-    if (log[i].poisons()) return true;
-  }
-  return false;
-}
-
-GpuRunResult SepHybrid::run_attempt(VertexId source,
-                                    std::vector<SepRound>& round_log) {
-  fault_scan_begin_ = sim_.fault_log().size();
+GpuRunResult SepHybrid::attempt(VertexId source, AttemptContext& query,
+                                std::vector<SepRound>& round_log) {
   sim_.reset_all();
   const VertexId n = csr_.num_vertices();
   GpuRunResult gpu;
@@ -276,7 +263,7 @@ GpuRunResult SepHybrid::run_attempt(VertexId source,
       // Corrupted distances can legitimately stall convergence; the
       // poisoned attempt is discarded by the retry driver. A genuine
       // runaway on a clean device is still a hard bug.
-      RDBS_CHECK_MSG(attempt_poisoned(), "SEP hybrid failed to converge");
+      RDBS_CHECK_MSG(query.poisoned(), "SEP hybrid failed to converge");
       break;
     }
     // Round bookkeeping: size + out-edge volume of the entering frontier.

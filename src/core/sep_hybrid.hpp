@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "core/options.hpp"
+#include "core/recovery.hpp"
 #include "core/run_metrics.hpp"
 #include "gpusim/sim.hpp"
 #include "graph/csr.hpp"
@@ -63,6 +64,9 @@ class SepHybrid {
  public:
   SepHybrid(gpusim::DeviceSpec device, const graph::Csr& csr,
             SepHybridOptions options = {});
+  // ctx_ holds the address of sim_.
+  SepHybrid(const SepHybrid&) = delete;
+  SepHybrid& operator=(const SepHybrid&) = delete;
 
   // Runs SSSP from `source`. With options.fault enabled the run executes
   // under options.retry; `rounds` describes the successful device attempt
@@ -74,9 +78,8 @@ class SepHybrid {
 
  private:
   // One recovery attempt (full run from a reset simulator clock).
-  GpuRunResult run_attempt(graph::VertexId source,
-                           std::vector<SepRound>& round_log);
-  bool attempt_poisoned() const;
+  GpuRunResult attempt(graph::VertexId source, AttemptContext& query,
+                       std::vector<SepRound>& round_log);
 
   SepMode choose_mode(std::uint64_t frontier_vertices,
                       std::uint64_t frontier_edges) const;
@@ -99,8 +102,7 @@ class SepHybrid {
   // Host mirrors of the device queue cursors (ring positions).
   std::uint64_t queue_tail_ = 0;
   std::uint64_t queue_head_ = 0;
-  // Fault-log watermark of the current attempt (gfi).
-  std::size_t fault_scan_begin_ = 0;
+  AttemptContext ctx_;
 };
 
 }  // namespace rdbs::core

@@ -57,6 +57,16 @@ class Permutation {
     }
     return original_values;
   }
+  // Maps an array indexed by original ids to reordered indexing (the
+  // inverse of unpermute).
+  template <typename T>
+  std::vector<T> permute(const std::vector<T>& original_values) const {
+    std::vector<T> reordered_values(original_values.size());
+    for (VertexId r = 0; r < size(); ++r) {
+      reordered_values[r] = original_values[new_to_old_[r]];
+    }
+    return reordered_values;
+  }
 
  private:
   std::vector<VertexId> new_to_old_;

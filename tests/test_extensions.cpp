@@ -237,11 +237,11 @@ TEST_P(MultiGpuTest, MatchesDijkstraOnPowerLaw) {
   options.delta0 = 200.0;
   core::MultiGpuDeltaStepping engine(gpusim::test_device(), csr, options);
   const auto result = engine.run(4);
-  expect_distances_equal(result.sssp.distances,
+  expect_distances_equal(result.gpu.sssp.distances,
                          sssp::dijkstra(csr, 4).distances);
   EXPECT_FALSE(
-      sssp::validate_distances(csr, 4, result.sssp.distances).has_value());
-  EXPECT_GT(result.makespan_ms, 0.0);
+      sssp::validate_distances(csr, 4, result.gpu.sssp.distances).has_value());
+  EXPECT_GT(result.gpu.device_ms, 0.0);
   EXPECT_EQ(result.per_device_busy_ms.size(),
             static_cast<std::size_t>(GetParam()));
 }
@@ -252,7 +252,7 @@ TEST_P(MultiGpuTest, MatchesDijkstraOnGrid) {
   options.num_devices = GetParam();
   options.delta0 = 500.0;
   core::MultiGpuDeltaStepping engine(gpusim::test_device(), csr, options);
-  expect_distances_equal(engine.run(0).sssp.distances,
+  expect_distances_equal(engine.run(0).gpu.sssp.distances,
                          sssp::dijkstra(csr, 0).distances);
 }
 
@@ -298,7 +298,7 @@ TEST(MultiGpu, SourceOnNonZeroDevice) {
   options.num_devices = 4;
   core::MultiGpuDeltaStepping engine(gpusim::test_device(), csr, options);
   const VertexId source = csr.num_vertices() - 1;  // owned by device 3
-  expect_distances_equal(engine.run(source).sssp.distances,
+  expect_distances_equal(engine.run(source).gpu.sssp.distances,
                          sssp::dijkstra(csr, source).distances);
 }
 

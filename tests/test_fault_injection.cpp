@@ -256,6 +256,13 @@ TEST(FaultInjection, EverySweptEngineSurvivesEveryFaultClass) {
       // Budget is a hard cap on injections.
       EXPECT_LE(result.recovery.faults_injected, scenario.cfg.max_faults);
       EXPECT_EQ(result.recovery.faults_injected, result.faults.size());
+      // One bookkeeping law for every engine: each attempt after the first
+      // is a retry, and each retry charged the policy's next backoff.
+      if (result.recovery.attempts > 0) {
+        EXPECT_EQ(result.recovery.attempts, result.recovery.retries + 1);
+      }
+      EXPECT_EQ(result.recovery.backoff_ms,
+                test::expected_backoff_ms(retry, result.recovery.retries));
     }
   }
 }
@@ -612,12 +619,12 @@ TEST(FaultInjection, MultiGpuShardLossDegradesToExactDistances) {
   core::MultiGpuDeltaStepping engine(gpusim::test_device(), csr, options);
 
   const core::MultiGpuRunResult result = engine.run(0);
-  ASSERT_TRUE(result.ok);
-  EXPECT_TRUE(result.recovery.device_lost);
-  EXPECT_EQ(result.recovery.cpu_fallbacks, 1u);
+  ASSERT_TRUE(result.gpu.ok);
+  EXPECT_TRUE(result.gpu.recovery.device_lost);
+  EXPECT_EQ(result.gpu.recovery.cpu_fallbacks, 1u);
   EXPECT_TRUE(engine.any_device_lost());
-  EXPECT_EQ(result.sssp.distances, sssp::dijkstra(csr, 0).distances);
-  ASSERT_FALSE(result.faults.empty());
+  EXPECT_EQ(result.gpu.sssp.distances, sssp::dijkstra(csr, 0).distances);
+  ASSERT_FALSE(result.gpu.faults.empty());
 }
 
 TEST(FaultInjection, MultiGpuFaultsCarryTheShardIndex) {
@@ -632,9 +639,9 @@ TEST(FaultInjection, MultiGpuFaultsCarryTheShardIndex) {
   core::MultiGpuDeltaStepping engine(gpusim::test_device(), csr, options);
 
   const core::MultiGpuRunResult result = engine.run(0);
-  ASSERT_TRUE(result.ok);
-  EXPECT_EQ(result.sssp.distances, sssp::dijkstra(csr, 0).distances);
-  for (const gpusim::GpuFault& f : result.faults) {
+  ASSERT_TRUE(result.gpu.ok);
+  EXPECT_EQ(result.gpu.sssp.distances, sssp::dijkstra(csr, 0).distances);
+  for (const gpusim::GpuFault& f : result.gpu.faults) {
     EXPECT_GE(f.device, 0);
     EXPECT_LT(f.device, options.num_devices);
   }
@@ -696,7 +703,7 @@ TEST(FaultInjection, WatchdogTimeoutRacingDeadlineEndsRecoveryImmediately) {
   core::GpuDeltaStepping engine(sim, /*stream=*/0, csr, options, &graph_bufs);
 
   const core::CancelToken token(sim, /*stream=*/0, /*deadline_ms=*/2.0);
-  engine.set_cancel_token(&token);
+  engine.context().set_cancel_token(&token);
   const core::GpuRunResult result = engine.run(7);
 
   EXPECT_FALSE(result.ok);

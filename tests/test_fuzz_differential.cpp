@@ -375,7 +375,7 @@ std::vector<graph::Distance> run_engine(const FuzzCase& c, const Csr& csr,
       core::MultiGpuDeltaStepping multi(device, csr, options);
       auto result = multi.run(c.source);
       *sanitizer_report = multi.sanitizer_report();
-      return std::move(result.sssp.distances);
+      return std::move(result.gpu.sssp.distances);
     }
     case Engine::kCpuDelta:
       return sssp::delta_stepping_distances(csr, c.source, c.delta0)

@@ -28,8 +28,8 @@ Csr shard_graph() { return test::random_powerlaw_graph(500, 4000, 131); }
 
 std::vector<std::string> fault_plan(const core::MultiGpuRunResult& result) {
   std::vector<std::string> plan;
-  plan.reserve(result.faults.size());
-  for (const gpusim::GpuFault& f : result.faults) {
+  plan.reserve(result.gpu.faults.size());
+  for (const gpusim::GpuFault& f : result.gpu.faults) {
     plan.push_back(std::to_string(f.device) + ":" + f.describe());
   }
   return plan;
@@ -46,11 +46,11 @@ TEST(MultiGpuFaults, DeviceLossDegradesToExactCpuDistances) {
     options.fault.device_loss = 1.0;
     core::MultiGpuDeltaStepping engine(gpusim::test_device(), csr, options);
     const core::MultiGpuRunResult result = engine.run(3);
-    ASSERT_TRUE(result.ok);
-    EXPECT_TRUE(result.recovery.device_lost);
+    ASSERT_TRUE(result.gpu.ok);
+    EXPECT_TRUE(result.gpu.recovery.device_lost);
     EXPECT_TRUE(engine.any_device_lost());
-    EXPECT_EQ(result.recovery.cpu_fallbacks, 1u);
-    EXPECT_EQ(result.sssp.distances, sssp::dijkstra(csr, 3).distances);
+    EXPECT_EQ(result.gpu.recovery.cpu_fallbacks, 1u);
+    EXPECT_EQ(result.gpu.sssp.distances, sssp::dijkstra(csr, 3).distances);
   }
 }
 
@@ -64,11 +64,11 @@ TEST(MultiGpuFaults, DeviceLossWithoutFallbackFailsTyped) {
   options.retry.cpu_fallback = false;
   core::MultiGpuDeltaStepping engine(gpusim::test_device(), csr, options);
   const core::MultiGpuRunResult result = engine.run(3);
-  EXPECT_FALSE(result.ok);
-  EXPECT_TRUE(result.recovery.device_lost);
-  ASSERT_FALSE(result.faults.empty());
+  EXPECT_FALSE(result.gpu.ok);
+  EXPECT_TRUE(result.gpu.recovery.device_lost);
+  ASSERT_FALSE(result.gpu.faults.empty());
   bool saw_loss = false;
-  for (const gpusim::GpuFault& f : result.faults) {
+  for (const gpusim::GpuFault& f : result.gpu.faults) {
     saw_loss = saw_loss || f.cls == gpusim::FaultClass::kDeviceLoss;
   }
   EXPECT_TRUE(saw_loss);
@@ -85,15 +85,21 @@ TEST(MultiGpuFaults, LaunchFailuresRetryToBitIdenticalDistances) {
   options.retry.max_attempts = 8;
   core::MultiGpuDeltaStepping engine(gpusim::test_device(), csr, options);
   const core::MultiGpuRunResult result = engine.run(0);
-  ASSERT_TRUE(result.ok);
-  EXPECT_EQ(result.sssp.distances, sssp::dijkstra(csr, 0).distances);
+  ASSERT_TRUE(result.gpu.ok);
+  EXPECT_EQ(result.gpu.sssp.distances, sssp::dijkstra(csr, 0).distances);
   // Merged fault report: every fault is tagged with the shard it hit.
-  EXPECT_GT(result.recovery.faults_injected, 0u);
-  EXPECT_EQ(result.recovery.faults_injected, result.faults.size());
-  for (const gpusim::GpuFault& f : result.faults) {
+  EXPECT_GT(result.gpu.recovery.faults_injected, 0u);
+  EXPECT_EQ(result.gpu.recovery.faults_injected, result.gpu.faults.size());
+  for (const gpusim::GpuFault& f : result.gpu.faults) {
     EXPECT_GE(f.device, 0);
     EXPECT_LT(f.device, options.num_devices);
   }
+  // Recovery bookkeeping follows the same law as every other engine.
+  EXPECT_GT(result.gpu.recovery.retries, 0u);
+  EXPECT_EQ(result.gpu.recovery.attempts, result.gpu.recovery.retries + 1);
+  EXPECT_EQ(result.gpu.recovery.backoff_ms,
+            test::expected_backoff_ms(options.retry,
+                                      result.gpu.recovery.retries));
 }
 
 TEST(MultiGpuFaults, PerShardPlansAreReproducible) {
@@ -112,9 +118,9 @@ TEST(MultiGpuFaults, PerShardPlansAreReproducible) {
   const core::MultiGpuRunResult ra = a.run(1);
   const core::MultiGpuRunResult rb = b.run(1);
   EXPECT_EQ(fault_plan(ra), fault_plan(rb));
-  EXPECT_EQ(ra.sssp.distances, rb.sssp.distances);
-  EXPECT_EQ(ra.recovery.retries, rb.recovery.retries);
-  EXPECT_DOUBLE_EQ(ra.makespan_ms, rb.makespan_ms);
+  EXPECT_EQ(ra.gpu.sssp.distances, rb.gpu.sssp.distances);
+  EXPECT_EQ(ra.gpu.recovery.retries, rb.gpu.recovery.retries);
+  EXPECT_DOUBLE_EQ(ra.gpu.device_ms, rb.gpu.device_ms);
 }
 
 TEST(MultiGpuFaults, ShardSeedsAreIndependent) {
@@ -128,13 +134,13 @@ TEST(MultiGpuFaults, ShardSeedsAreIndependent) {
   options.retry.max_attempts = 10;
   core::MultiGpuDeltaStepping engine(gpusim::test_device(), csr, options);
   const core::MultiGpuRunResult result = engine.run(0);
-  ASSERT_TRUE(result.ok);
+  ASSERT_TRUE(result.gpu.ok);
   // With a per-shard derived seed and p=0.6, the shards must not all fault
   // on the same launch ordinals — at least two distinct shards appear.
-  ASSERT_GT(result.faults.size(), 1u);
+  ASSERT_GT(result.gpu.faults.size(), 1u);
   bool distinct = false;
-  for (const gpusim::GpuFault& f : result.faults) {
-    distinct = distinct || f.device != result.faults.front().device;
+  for (const gpusim::GpuFault& f : result.gpu.faults) {
+    distinct = distinct || f.device != result.gpu.faults.front().device;
   }
   EXPECT_TRUE(distinct);
 }
@@ -145,13 +151,14 @@ TEST(MultiGpuFaults, FaultFreeRunReportsNoRecovery) {
   options.num_devices = 3;
   core::MultiGpuDeltaStepping engine(gpusim::test_device(), csr, options);
   const core::MultiGpuRunResult result = engine.run(2);
-  ASSERT_TRUE(result.ok);
+  ASSERT_TRUE(result.gpu.ok);
   EXPECT_FALSE(engine.any_device_lost());
-  EXPECT_TRUE(result.faults.empty());
-  EXPECT_EQ(result.recovery.retries, 0u);
-  EXPECT_EQ(result.recovery.cpu_fallbacks, 0u);
+  EXPECT_TRUE(result.gpu.faults.empty());
+  EXPECT_EQ(result.gpu.recovery.retries, 0u);
+  EXPECT_EQ(result.gpu.recovery.cpu_fallbacks, 0u);
+  EXPECT_EQ(result.gpu.recovery.attempts, 1u);
   EXPECT_EQ(result.per_device_busy_ms.size(), 3u);
-  EXPECT_EQ(result.sssp.distances, sssp::dijkstra(csr, 2).distances);
+  EXPECT_EQ(result.gpu.sssp.distances, sssp::dijkstra(csr, 2).distances);
 }
 
 TEST(MultiGpuFaults, SanitizerAndFaultsComposeClean) {
@@ -165,11 +172,11 @@ TEST(MultiGpuFaults, SanitizerAndFaultsComposeClean) {
   options.retry.max_attempts = 6;
   core::MultiGpuDeltaStepping engine(gpusim::test_device(), csr, options);
   const core::MultiGpuRunResult result = engine.run(0);
-  ASSERT_TRUE(result.ok);
+  ASSERT_TRUE(result.gpu.ok);
   // Retried attempts run the same (hazard-free) kernels; the merged
   // per-device report must stay empty.
   EXPECT_EQ(engine.sanitizer_report(), "");
-  EXPECT_EQ(result.sssp.distances, sssp::dijkstra(csr, 0).distances);
+  EXPECT_EQ(result.gpu.sssp.distances, sssp::dijkstra(csr, 0).distances);
 }
 
 TEST(MultiGpuFaults, InvalidSourceThrows) {

@@ -846,41 +846,52 @@ core::QueryServerOptions migration_options(bool migrate) {
 
 // A query that loses its device mid-run migrates to the other lane, resumes
 // from the checkpoint, and completes with oracle-exact distances; with
-// migration off the identical run fails outright.
+// migration off the identical run fails outright. RDBS lanes checkpoint at
+// bucket boundaries, ADDS lanes at near/far round boundaries; each engine
+// gets a fault seed that costs it exactly one loss.
 TEST(QueryServer, MigrationResumesLostQueryOnSurvivingLane) {
   const Csr csr = server_test_graph();
   const std::vector<VertexId> sources = {0, 17, 113, 256, 399, 42};
 
-  gpusim::FaultConfig cfg;
-  cfg.enabled = true;
-  cfg.seed = 4;
-  cfg.device_loss = 0.002;  // one loss somewhere mid-stream
-  cfg.max_faults = 1;
+  struct EngineCase {
+    core::BatchEngine engine;
+    std::uint64_t seed;
+  };
+  for (const EngineCase& c : {EngineCase{core::BatchEngine::kRdbs, 4},
+                              EngineCase{core::BatchEngine::kAdds, 44}}) {
+    SCOPED_TRACE(c.engine == core::BatchEngine::kRdbs ? "rdbs" : "adds");
+    gpusim::FaultConfig cfg;
+    cfg.enabled = true;
+    cfg.seed = c.seed;
+    cfg.device_loss = 0.002;  // one loss somewhere mid-stream
+    cfg.max_faults = 1;
 
-  core::StreamResult with_migration;
-  core::StreamResult without_migration;
-  for (const bool migrate : {true, false}) {
-    core::QueryServerOptions options = migration_options(migrate);
-    options.batch.gpu.fault = cfg;
-    core::QueryServer server(csr, gpusim::test_device(), options);
-    core::StreamResult result =
-        server.run(std::vector<core::ServerQuery>(queries_for(sources)));
-    (migrate ? with_migration : without_migration) = std::move(result);
+    core::StreamResult with_migration;
+    core::StreamResult without_migration;
+    for (const bool migrate : {true, false}) {
+      core::QueryServerOptions options = migration_options(migrate);
+      options.batch.engine = c.engine;
+      options.batch.gpu.fault = cfg;
+      core::QueryServer server(csr, gpusim::test_device(), options);
+      core::StreamResult result =
+          server.run(std::vector<core::ServerQuery>(queries_for(sources)));
+      (migrate ? with_migration : without_migration) = std::move(result);
+    }
+
+    ASSERT_EQ(without_migration.failed_queries, 1u);
+    EXPECT_EQ(with_migration.failed_queries, 0u);
+    EXPECT_EQ(with_migration.migrated_queries, 1u);
+    EXPECT_EQ(with_migration.ok_queries, sources.size());
+    check_against_oracle(csr, queries_for(sources), with_migration);
+
+    // The migrated query finished on a lane other than the one it failed
+    // on, and its stats say so.
+    bool saw_migrated = false;
+    for (const core::StreamQueryStats& sq : with_migration.stats) {
+      saw_migrated = saw_migrated || sq.query.migrated;
+    }
+    EXPECT_TRUE(saw_migrated);
   }
-
-  ASSERT_EQ(without_migration.failed_queries, 1u);
-  EXPECT_EQ(with_migration.failed_queries, 0u);
-  EXPECT_EQ(with_migration.migrated_queries, 1u);
-  EXPECT_EQ(with_migration.ok_queries, sources.size());
-  check_against_oracle(csr, queries_for(sources), with_migration);
-
-  // The migrated query finished on a lane other than the one it failed on,
-  // and its stats say so.
-  bool saw_migrated = false;
-  for (const core::StreamQueryStats& sq : with_migration.stats) {
-    saw_migrated = saw_migrated || sq.query.migrated;
-  }
-  EXPECT_TRUE(saw_migrated);
 }
 
 // Migration only helps when a checkpoint exists: with checkpointing off the

@@ -36,6 +36,19 @@ TEST(Permutation, UnpermuteMapsBack) {
   EXPECT_EQ(original, (std::vector<int>{0, 10, 20}));
 }
 
+TEST(Permutation, PermuteInvertsUnpermute) {
+  Permutation perm({2, 0, 1, 3});
+  // original array: value of original vertex v lands on to_reordered(v).
+  const std::vector<int> original{0, 10, 20, 30};
+  const std::vector<int> reordered = perm.permute(original);
+  EXPECT_EQ(reordered, (std::vector<int>{20, 0, 10, 30}));
+  for (VertexId v = 0; v < 4; ++v) {
+    EXPECT_EQ(reordered[perm.to_reordered(v)], original[v]);
+  }
+  EXPECT_EQ(perm.unpermute(reordered), original);
+  EXPECT_EQ(perm.permute(perm.unpermute(reordered)), reordered);
+}
+
 TEST(DegreeReorder, SortsByDescendingDegree) {
   const Csr csr = paper_figure1_graph();
   const Permutation perm = degree_descending_permutation(csr);

@@ -601,7 +601,7 @@ TEST(GsanCleanSweep, MultiGpuEngine) {
   core::MultiGpuDeltaStepping engine(gpusim::test_device(), csr, options);
   const core::MultiGpuRunResult result = engine.run(0);
   EXPECT_EQ(engine.sanitizer_report(), "");
-  EXPECT_EQ(result.sssp.distances, sssp::dijkstra(csr, 0).distances);
+  EXPECT_EQ(result.gpu.sssp.distances, sssp::dijkstra(csr, 0).distances);
 }
 
 // Cross-stream hazard check: four lanes share one simulator and the

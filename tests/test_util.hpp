@@ -1,8 +1,11 @@
 // Shared helpers for the RDBS test suite.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
+#include "core/options.hpp"
 #include "graph/builder.hpp"
 #include "graph/coo.hpp"
 #include "graph/csr.hpp"
@@ -15,6 +18,20 @@ using graph::Csr;
 using graph::EdgeList;
 using graph::VertexId;
 using graph::Weight;
+
+// run_with_recovery's total backoff after `retries` retries: each retry
+// charges the current backoff, then grows it by the multiplier. Summed in
+// that order, so results can be compared exactly.
+inline double expected_backoff_ms(const core::RetryPolicy& retry,
+                                  std::uint64_t retries) {
+  double total = 0;
+  double backoff = std::max(0.0, retry.backoff_ms);
+  for (std::uint64_t i = 0; i < retries; ++i) {
+    total += backoff;
+    backoff *= retry.backoff_multiplier;
+  }
+  return total;
+}
 
 // The paper's Fig. 1(a) example: 8 vertices, 13 undirected edges.
 inline Csr paper_figure1_graph() {
