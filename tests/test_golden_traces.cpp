@@ -1,16 +1,20 @@
-// Golden-trace regression anchors (ISSUE 4 satellite).
+// Golden-trace regression anchors.
 //
-// Three fixed (engine, graph, seed) triples snapshot their full Counters
-// and final distances into checked-in golden files. Any change to the cost
-// model, the memory model, an engine's kernel structure, or the graph
-// generators shows up here as a readable diff instead of a silent drift.
+// Fixed (engine, graph, seed) triples snapshot their full Counters and
+// final distances into checked-in golden files: RDBS, the BL baseline,
+// ADDS and one QueryServer batch, plus the comparator engines (HN07,
+// Davidson, SEP hybrid, Gunrock, multi-GPU), whose snapshots also carry the
+// simulated device time. Any change to the cost model, the memory model,
+// an engine's kernel structure, or the graph generators shows up here as a
+// readable diff instead of a silent drift.
 //
 // Regenerate intentionally with:
 //   RDBS_UPDATE_GOLDEN=1 ./tests/test_golden_traces
 // and commit the updated files under tests/golden/ with an explanation.
 //
-// Distances are serialized as C++ hexfloats, so the comparison is exact
-// (bit-identical), matching the determinism contract in docs/costmodel.md.
+// Distances and times are serialized as C++ hexfloats, so the comparison is
+// exact (bit-identical), matching the determinism contract in
+// docs/costmodel.md.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -21,8 +25,12 @@
 #include <vector>
 
 #include "core/adds.hpp"
+#include "core/gunrock_like.hpp"
+#include "core/legacy_gpu.hpp"
+#include "core/multi_gpu.hpp"
 #include "core/query_server.hpp"
 #include "core/rdbs.hpp"
+#include "core/sep_hybrid.hpp"
 #include "gpusim/counters.hpp"
 #include "gpusim/device.hpp"
 #include "sssp/dijkstra.hpp"
@@ -66,11 +74,16 @@ std::string serialize_trace(const core::GpuRunResult& result) {
   return out.str();
 }
 
-void check_against_golden(const std::string& name,
-                          const core::GpuRunResult& result) {
-  const std::string path = std::string(RDBS_GOLDEN_DIR) + "/" + name + ".txt";
-  const std::string actual = serialize_trace(result);
+// The comparator-engine layout: the trace plus the simulated device time.
+std::string serialize_timed_trace(const core::GpuRunResult& result) {
+  std::ostringstream out;
+  out << serialize_trace(result) << std::hexfloat << "device_ms "
+      << result.device_ms << '\n';
+  return out.str();
+}
 
+void check_against_golden(const std::string& name, const std::string& actual) {
+  const std::string path = std::string(RDBS_GOLDEN_DIR) + "/" + name + ".txt";
   if (std::getenv("RDBS_UPDATE_GOLDEN") != nullptr) {
     std::ofstream out(path, std::ios::trunc);
     ASSERT_TRUE(out.good()) << "cannot write " << path;
@@ -97,7 +110,8 @@ TEST(GoldenTraces, RdbsFullOnPowerLaw) {
   core::GpuSsspOptions options;
   options.delta0 = 150.0;
   core::RdbsSolver solver(csr, gpusim::test_device(), options);
-  check_against_golden("rdbs_powerlaw_300_s201", solver.solve(5));
+  check_against_golden("rdbs_powerlaw_300_s201",
+                       serialize_trace(solver.solve(5)));
 }
 
 // Triple 2: the paper's BL baseline (synchronous push Bellman-Ford) on a
@@ -110,7 +124,7 @@ TEST(GoldenTraces, BaselineBlOnGrid) {
   options.pro = false;
   options.adwl = false;
   core::RdbsSolver solver(csr, gpusim::test_device(), options);
-  check_against_golden("bl_grid_16_s202", solver.solve(0));
+  check_against_golden("bl_grid_16_s202", serialize_trace(solver.solve(0)));
 }
 
 // Triple 3: the ADDS-like Near/Far comparator on a power-law graph —
@@ -120,10 +134,11 @@ TEST(GoldenTraces, AddsOnPowerLaw) {
   core::AddsOptions options;
   options.delta = 120.0;
   core::AddsLike engine(gpusim::test_device(), csr, options);
-  check_against_golden("adds_powerlaw_250_s203", engine.run(7));
+  check_against_golden("adds_powerlaw_250_s203",
+                       serialize_trace(engine.run(7)));
 }
 
-// Triple 4 (ISSUE 5): one QueryServer batch with every serving outcome in
+// Triple 4: one QueryServer batch with every serving outcome in
 // it — a recovered query (fault budget spent on the first), clean queries,
 // a cooperative deadline cancellation with overrun-kernel accounting, and
 // an admission-queue shed. Snapshots the serving decisions (status, finish
@@ -180,25 +195,7 @@ TEST(GoldenTraces, QueryServerMixedOutcomeBatch) {
     }
   }
 
-  const std::string path =
-      std::string(RDBS_GOLDEN_DIR) + "/server_mixed_300_s204.txt";
-  const std::string actual = out.str();
-  if (std::getenv("RDBS_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream file(path, std::ios::trunc);
-    ASSERT_TRUE(file.good()) << "cannot write " << path;
-    file << actual;
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good())
-      << "missing golden file " << path
-      << " — regenerate with RDBS_UPDATE_GOLDEN=1 and commit it";
-  std::ostringstream expected;
-  expected << in.rdbuf();
-  EXPECT_EQ(actual, expected.str())
-      << "serving trace drifted from " << path
-      << " — if the change is intentional, regenerate with "
-         "RDBS_UPDATE_GOLDEN=1 and commit the diff";
+  check_against_golden("server_mixed_300_s204", out.str());
 
   // And the anchor is correct, not just stable: completed distances are
   // oracle-exact.
@@ -206,6 +203,80 @@ TEST(GoldenTraces, QueryServerMixedOutcomeBatch) {
     EXPECT_EQ(result.queries[i].sssp.distances,
               sssp::dijkstra(csr, queries[i].source).distances);
   }
+}
+
+// The comparator engines. Each anchor is checked against Dijkstra too, so
+// it is correct, not just stable.
+
+TEST(GoldenTraces, HarishNarayananOnPowerLaw) {
+  const Csr csr = test::random_powerlaw_graph(250, 2000, /*seed=*/205);
+  core::HarishNarayanan engine(gpusim::test_device(), csr);
+  const core::GpuRunResult result = engine.run(3);
+  EXPECT_EQ(result.sssp.distances, sssp::dijkstra(csr, 3).distances);
+  check_against_golden("hn07_powerlaw_250_s205",
+                       serialize_timed_trace(result));
+}
+
+TEST(GoldenTraces, DavidsonNearFarOnPowerLaw) {
+  const Csr csr = test::random_powerlaw_graph(250, 2000, /*seed=*/206);
+  core::DavidsonOptions options;
+  options.delta = 120.0;
+  core::DavidsonNearFar engine(gpusim::test_device(), csr, options);
+  const core::GpuRunResult result = engine.run(4);
+  EXPECT_EQ(result.sssp.distances, sssp::dijkstra(csr, 4).distances);
+  check_against_golden("davidson_powerlaw_250_s206",
+                       serialize_timed_trace(result));
+}
+
+// Low switch thresholds so one run goes through all three SEP modes.
+TEST(GoldenTraces, SepHybridAllModesOnPowerLaw) {
+  const Csr csr = test::random_powerlaw_graph(400, 3200, /*seed=*/207);
+  core::SepHybridOptions options;
+  options.pull_edge_fraction = 0.3;
+  options.async_frontier_limit = 16;
+  core::SepHybrid engine(gpusim::test_device(), csr, options);
+  const core::SepRunResult result = engine.run(0);
+  bool saw[3] = {false, false, false};
+  for (const core::SepRound& round : result.rounds) {
+    saw[static_cast<int>(round.mode)] = true;
+  }
+  EXPECT_TRUE(saw[0] && saw[1] && saw[2]) << "a SEP mode went unexercised";
+  EXPECT_EQ(result.gpu.sssp.distances, sssp::dijkstra(csr, 0).distances);
+  check_against_golden("sep_powerlaw_400_s207",
+                       serialize_timed_trace(result.gpu));
+}
+
+TEST(GoldenTraces, GunrockOnGrid) {
+  const Csr csr = test::random_grid_graph(16, /*seed=*/208);
+  core::gunrock::GunrockSsspOptions options;
+  options.delta = 300.0;
+  const core::GpuRunResult result =
+      core::gunrock::sssp(gpusim::test_device(), csr, 9, options);
+  EXPECT_EQ(result.sssp.distances, sssp::dijkstra(csr, 9).distances);
+  check_against_golden("gunrock_grid_16_s208", serialize_timed_trace(result));
+}
+
+// A multi-GPU result carries no counters (each shard's simulator keeps its
+// own); the per-device busy time and the exchange tallies stand in.
+TEST(GoldenTraces, MultiGpuOnPowerLaw) {
+  const Csr csr = test::random_powerlaw_graph(300, 2400, /*seed=*/209);
+  core::MultiGpuOptions options;
+  options.num_devices = 3;
+  options.delta0 = 150.0;
+  core::MultiGpuDeltaStepping engine(gpusim::test_device(), csr, options);
+  const core::MultiGpuRunResult result = engine.run(250);
+  EXPECT_EQ(result.gpu.sssp.distances, sssp::dijkstra(csr, 250).distances);
+  std::ostringstream out;
+  out << "messages " << result.messages << '\n'
+      << "exchange_rounds " << result.exchange_rounds << '\n';
+  out << std::hexfloat;
+  for (std::size_t d = 0; d < result.per_device_busy_ms.size(); ++d) {
+    out << "busy_ms " << d << ' ' << result.per_device_busy_ms[d] << '\n';
+  }
+  out << "device_ms " << result.gpu.device_ms << '\n';
+  out << "distances " << result.gpu.sssp.distances.size() << '\n';
+  for (const graph::Distance d : result.gpu.sssp.distances) out << d << '\n';
+  check_against_golden("multi_gpu_powerlaw_300_s209", out.str());
 }
 
 // The anchors themselves must be correct, not just stable.
