@@ -64,6 +64,17 @@ if grep -rnE 'fault_log[[:space:]]*\(' "$ROOT/src" |
   exit 1
 fi
 
+echo "=== [tier1] device CSR buffers are allocated in one place ==="
+# Every engine uploads its graph through DeviceCsrBuffers::upload
+# (src/core/device_graph.cpp), so all engines charge the same CSR layout and
+# gsan reports name the same buffers. A "row_offsets", "adjacency" or
+# "weights" buffer name anywhere else under src/ is a hand-copied upload.
+if grep -rnE '"(row_offsets|adjacency|weights)"' "$ROOT/src" |
+    grep -v "^$ROOT/src/core/device_graph\.cpp:"; then
+  echo "CSR buffer allocated outside src/core/device_graph.cpp" >&2
+  exit 1
+fi
+
 run_config tier1
 
 echo "=== [tier1] perfbench build and unit tests ==="

@@ -13,7 +13,6 @@ using graph::VertexId;
 using graph::Weight;
 
 namespace {
-constexpr std::uint32_t kDeviceWord = 4;
 // Cells of the queue control buffer (atomically claimed cursors).
 constexpr std::uint64_t kNearTailCell[1] = {0};
 constexpr std::uint64_t kNearHeadCell[1] = {1};
@@ -75,28 +74,9 @@ void AddsLike::init_device_state(const DeviceCsrBuffers* shared_graph) {
 
 void AddsLike::init_distances_kernel(VertexId source) {
   const VertexId n = csr_.num_vertices();
-  const std::uint64_t warps = (n + 31) / 32;
-  sim_->label_next_launch("init_distances");
-  sim_->run_kernel(
-      gpusim::Schedule::kStatic, warps, 8,
-      [&](gpusim::WarpCtx& ctx, std::uint64_t w) {
-        const std::uint64_t begin = w * 32;
-        const std::uint64_t end = std::min<std::uint64_t>(begin + 32, n);
-        std::array<std::uint64_t, 32> idx{};
-        std::array<Distance, 32> inf{};
-        std::array<std::uint8_t, 32> zero{};
-        const auto lanes = static_cast<std::size_t>(end - begin);
-        for (std::size_t i = 0; i < lanes; ++i) {
-          idx[i] = begin + i;
-          inf[i] = graph::kInfiniteDistance;
-          zero[i] = 0;
-        }
-        ctx.store(dist_, std::span<const std::uint64_t>(idx.data(), lanes),
-                  std::span<const Distance>(inf.data(), lanes));
-        ctx.store(in_near_, std::span<const std::uint64_t>(idx.data(), lanes),
-                  std::span<const std::uint8_t>(zero.data(), lanes));
-      },
-      /*host_launch=*/true, stream_);
+  fill_kernel(*sim_, "init_distances", n, stream_,
+              Fill{dist_, graph::kInfiniteDistance},
+              Fill{in_near_, std::uint8_t{0}});
   sim_->label_next_launch("seed_source");
   sim_->run_kernel(gpusim::Schedule::kStatic, 1, 1,
                   [&](gpusim::WarpCtx& ctx, std::uint64_t) {
@@ -347,84 +327,54 @@ GpuRunResult AddsLike::attempt(VertexId source, AttemptContext& query) {
 
       std::array<Distance, 32> dist_u{};
       ctx.load(dist_, vspan, std::span<Distance>(dist_u.data(), lane_count));
-      std::array<std::uint64_t, 32> row_begin{};
-      std::array<std::uint64_t, 32> row_end{};
-      {
-        std::array<std::uint64_t, 32> idx2{};
-        for (std::uint32_t i = 0; i < lane_count; ++i) idx2[i] = lanes[i] + 1;
-        std::array<EdgeIndex, 32> tmp{};
-        ctx.load(graph_bufs_->row_offsets, vspan,
-                 std::span<EdgeIndex>(tmp.data(), lane_count));
-        for (std::uint32_t i = 0; i < lane_count; ++i) row_begin[i] = tmp[i];
-        ctx.load(graph_bufs_->row_offsets,
-                 std::span<const std::uint64_t>(idx2.data(), lane_count),
-                 std::span<EdgeIndex>(tmp.data(), lane_count));
-        for (std::uint32_t i = 0; i < lane_count; ++i) row_end[i] = tmp[i];
-      }
+      const RowBounds rows = load_row_bounds(ctx, *graph_bufs_, vspan);
       ctx.alu(2, lane_count);
 
       // Thread-per-vertex: the warp runs until its highest-degree lane is
       // done — ADDS's Achilles heel on hub-dominated graphs.
-      std::uint64_t max_deg = 0;
-      for (std::uint32_t i = 0; i < lane_count; ++i) {
-        max_deg = std::max(max_deg, row_end[i] - row_begin[i]);
-      }
-      for (std::uint64_t s = 0; s < max_deg; ++s) {
-        std::array<std::uint64_t, 32> eidx{};
-        std::array<std::uint32_t, 32> lane_of{};
-        std::uint32_t active = 0;
-        for (std::uint32_t i = 0; i < lane_count; ++i) {
-          if (row_begin[i] + s < row_end[i]) {
-            eidx[active] = row_begin[i] + s;
-            lane_of[active] = i;
-            ++active;
-          }
-        }
-        if (active == 0) break;
-        std::span<const std::uint64_t> espan(eidx.data(), active);
-        std::array<VertexId, 32> dsts{};
-        std::array<Weight, 32> ws{};
-        ctx.load(graph_bufs_->adjacency, espan, std::span<VertexId>(dsts.data(), active));
-        ctx.load(graph_bufs_->weights, espan, std::span<Weight>(ws.data(), active));
-        ctx.alu(2, active);
-        work_.relaxations += active;
+      for_each_lockstep_edge(
+          ctx, *graph_bufs_, rows, lane_count, [&](const LockstepStep& step) {
+            const std::uint32_t active = step.count;
+            ctx.alu(2, active);
+            work_.relaxations += active;
 
-        std::array<std::uint64_t, 32> relax_idx{};
-        std::array<Distance, 32> relax_val{};
-        for (std::uint32_t i = 0; i < active; ++i) {
-          relax_idx[i] = dsts[i];
-          relax_val[i] = dist_u[lane_of[i]] + ws[i];
-        }
-        std::array<std::uint8_t, 32> improved{};
-        ctx.atomic_min(dist_,
-                       std::span<const std::uint64_t>(relax_idx.data(), active),
-                       std::span<const Distance>(relax_val.data(), active),
-                       std::span<std::uint8_t>(improved.data(), active));
-        std::array<VertexId, 32> to_near{};
-        std::array<VertexId, 32> to_far{};
-        std::uint32_t to_near_count = 0;
-        std::uint32_t to_far_count = 0;
-        for (std::uint32_t i = 0; i < active; ++i) {
-          if (!improved[i]) continue;
-          ++work_.total_updates;
-          const auto v = static_cast<VertexId>(relax_idx[i]);
-          if (relax_val[i] < threshold) {
-            if (!in_near_[v]) {
-              in_near_[v] = 1;
-              near.push_back(v);
-              to_near[to_near_count++] = v;
+            std::array<std::uint64_t, 32> relax_idx{};
+            std::array<Distance, 32> relax_val{};
+            for (std::uint32_t i = 0; i < active; ++i) {
+              relax_idx[i] = step.dst[i];
+              relax_val[i] = dist_u[step.owner[i]] + step.weight[i];
             }
-          } else {
-            far.push_back(v);
-            to_far[to_far_count++] = v;
-          }
-        }
-        charge_push(ctx,
-                    std::span<const VertexId>(to_near.data(), to_near_count),
-                    /*to_near=*/true);
-        charge_push(ctx, std::span<const VertexId>(to_far.data(), to_far_count),
-                    /*to_near=*/false);
-      }
+            std::array<std::uint8_t, 32> improved{};
+            ctx.atomic_min(
+                dist_, std::span<const std::uint64_t>(relax_idx.data(), active),
+                std::span<const Distance>(relax_val.data(), active),
+                std::span<std::uint8_t>(improved.data(), active));
+            std::array<VertexId, 32> to_near{};
+            std::array<VertexId, 32> to_far{};
+            std::uint32_t to_near_count = 0;
+            std::uint32_t to_far_count = 0;
+            for (std::uint32_t i = 0; i < active; ++i) {
+              if (!improved[i]) continue;
+              ++work_.total_updates;
+              const auto v = static_cast<VertexId>(relax_idx[i]);
+              if (relax_val[i] < threshold) {
+                if (!in_near_[v]) {
+                  in_near_[v] = 1;
+                  near.push_back(v);
+                  to_near[to_near_count++] = v;
+                }
+              } else {
+                far.push_back(v);
+                to_far[to_far_count++] = v;
+              }
+            }
+            charge_push(
+                ctx, std::span<const VertexId>(to_near.data(), to_near_count),
+                /*to_near=*/true);
+            charge_push(ctx,
+                        std::span<const VertexId>(to_far.data(), to_far_count),
+                        /*to_near=*/false);
+          });
       kernel.commit(ctx);
       ++work_.iterations;
     }

@@ -10,10 +10,6 @@ namespace rdbs::core {
 
 namespace {
 
-// Device element sizes mirror the CUDA layout the paper describes: 32-bit
-// row offsets / vertex ids / weights / distances.
-constexpr std::uint32_t kDeviceWord = 4;
-
 // Cells of the queue control buffer (atomically claimed cursors).
 constexpr std::uint64_t kTailCell[1] = {0};
 constexpr std::uint64_t kHeadCell[1] = {1};
@@ -89,29 +85,10 @@ void GpuDeltaStepping::init_device_state(const DeviceCsrBuffers* shared_graph) {
 
 void GpuDeltaStepping::init_distances_kernel(VertexId source) {
   const VertexId n = csr_.num_vertices();
-  const std::uint64_t warps = (n + 31) / 32;
   // One coalesced store of 32 distances (and queue-flag clears) per warp.
-  sim_->label_next_launch("init_distances");
-  sim_->run_kernel(
-      gpusim::Schedule::kStatic, warps, /*warps_per_block=*/8,
-      [&](gpusim::WarpCtx& ctx, std::uint64_t w) {
-        const std::uint64_t begin = w * 32;
-        const std::uint64_t end = std::min<std::uint64_t>(begin + 32, n);
-        std::array<std::uint64_t, 32> idx{};
-        std::array<Distance, 32> inf{};
-        std::array<std::uint8_t, 32> zero{};
-        const std::size_t lanes = static_cast<std::size_t>(end - begin);
-        for (std::size_t i = 0; i < lanes; ++i) {
-          idx[i] = begin + i;
-          inf[i] = graph::kInfiniteDistance;
-          zero[i] = 0;
-        }
-        ctx.store(dist_, std::span<const std::uint64_t>(idx.data(), lanes),
-                  std::span<const Distance>(inf.data(), lanes));
-        ctx.store(in_queue_, std::span<const std::uint64_t>(idx.data(), lanes),
-                  std::span<const std::uint8_t>(zero.data(), lanes));
-      },
-      /*host_launch=*/true, stream_);
+  fill_kernel(*sim_, "init_distances", n, stream_,
+              Fill{dist_, graph::kInfiniteDistance},
+              Fill{in_queue_, std::uint8_t{0}});
   // Tiny kernel: dist[source] = 0.
   sim_->label_next_launch("seed_source");
   sim_->run_kernel(gpusim::Schedule::kStatic, 1, 1,
@@ -213,7 +190,7 @@ void GpuDeltaStepping::enqueue(gpusim::WarpCtx& /*ctx*/, VertexId v,
 void GpuDeltaStepping::parent_warp(gpusim::WarpCtx& ctx,
                                    std::vector<VertexId>& lanes, Weight lo,
                                    Weight hi, Weight delta,
-                                   std::vector<ChildChunk>* children,
+                                   std::vector<EdgeChunk>* children,
                                    BucketStats& stats) {
   (void)lo;
   const auto lane_count = static_cast<std::uint32_t>(lanes.size());
@@ -256,18 +233,7 @@ void GpuDeltaStepping::parent_warp(gpusim::WarpCtx& ctx,
   std::array<Distance, 32> dist_u{};
   ctx.load(dist_, vspan, std::span<Distance>(dist_u.data(), lane_count));
 
-  std::array<std::uint64_t, 32> row_begin{};
-  std::array<std::uint64_t, 32> row_end{};
-  {
-    std::array<std::uint64_t, 32> idx2{};
-    for (std::uint32_t i = 0; i < lane_count; ++i) idx2[i] = lanes[i] + 1;
-    std::array<EdgeIndex, 32> tmp{};
-    ctx.load(graph_bufs_->row_offsets, vspan, std::span<EdgeIndex>(tmp.data(), lane_count));
-    for (std::uint32_t i = 0; i < lane_count; ++i) row_begin[i] = tmp[i];
-    ctx.load(graph_bufs_->row_offsets, std::span<const std::uint64_t>(idx2.data(), lane_count),
-             std::span<EdgeIndex>(tmp.data(), lane_count));
-    for (std::uint32_t i = 0; i < lane_count; ++i) row_end[i] = tmp[i];
-  }
+  RowBounds rows = load_row_bounds(ctx, *graph_bufs_, vspan);
 
   // Light-range split per lane.
   std::array<std::uint64_t, 32> lend{};
@@ -302,9 +268,9 @@ void GpuDeltaStepping::parent_warp(gpusim::WarpCtx& ctx,
         // slot 0 (the hardware would predicate it off). Clamping to
         // row_begin would read one past the weights array for empty
         // rows at the CSR tail (row_begin == num_edges).
-        probe[i] = row_end[i] == row_begin[i]
+        probe[i] = rows.end[i] == rows.begin[i]
                        ? 0
-                       : std::min<std::uint64_t>(lend[i], row_end[i] - 1);
+                       : std::min<std::uint64_t>(lend[i], rows.end[i] - 1);
       }
       std::array<Weight, 32> wtmp{};
       if (graph_bufs_->weights.size() != 0) {
@@ -319,120 +285,87 @@ void GpuDeltaStepping::parent_warp(gpusim::WarpCtx& ctx,
                          std::span<const EdgeIndex>(fresh.data(), lane_count));
     }
   } else {
-    for (std::uint32_t i = 0; i < lane_count; ++i) lend[i] = row_end[i];
+    for (std::uint32_t i = 0; i < lane_count; ++i) lend[i] = rows.end[i];
   }
   ctx.alu(2, lane_count);  // bucket classification / loop setup
 
-  // ADWL: medium/large lanes spawn child chunks; small lanes run inline.
-  std::array<std::uint8_t, 32> inline_lane{};
+  // ADWL: medium/large lanes spawn child chunks; small lanes run inline
+  // over their light range. A spawning lane's range is emptied so it sits
+  // out the inline loop.
   for (std::uint32_t i = 0; i < lane_count; ++i) {
-    const std::uint64_t light_deg = lend[i] - row_begin[i];
-    inline_lane[i] = 1;
+    const std::uint64_t light_deg = lend[i] - rows.begin[i];
+    rows.end[i] = lend[i];
     if (options_.adwl && children != nullptr && light_deg >= options_.beta) {
-      inline_lane[i] = 0;
       if (light_deg >= options_.alpha) {
         ++stats.large_workload;
       } else {
         ++stats.medium_workload;
       }
       ctx.child_launch();
-      for (EdgeIndex e = row_begin[i]; e < lend[i]; e += 32) {
-        children->push_back(
-            {lanes[i], e, std::min<EdgeIndex>(e + 32, lend[i])});
-      }
+      append_edge_chunks(*children, lanes[i], rows.begin[i], lend[i]);
+      rows.end[i] = rows.begin[i];
     } else if (options_.adwl && children != nullptr) {
       ++stats.small_workload;
     }
   }
 
   // Inline (thread-per-vertex) edge loop: warp pays for its slowest lane.
-  std::uint64_t max_inline = 0;
-  for (std::uint32_t i = 0; i < lane_count; ++i) {
-    if (inline_lane[i]) {
-      max_inline = std::max<std::uint64_t>(max_inline,
-                                           lend[i] - row_begin[i]);
-    }
-  }
-  for (std::uint64_t s = 0; s < max_inline; ++s) {
-    std::array<std::uint64_t, 32> eidx{};
-    std::array<std::uint32_t, 32> lane_of{};
-    std::uint32_t active = 0;
-    for (std::uint32_t i = 0; i < lane_count; ++i) {
-      if (inline_lane[i] && row_begin[i] + s < lend[i]) {
-        eidx[active] = row_begin[i] + s;
-        lane_of[active] = i;
-        ++active;
-      }
-    }
-    if (active == 0) break;
-    std::span<const std::uint64_t> espan(eidx.data(), active);
+  for_each_lockstep_edge(
+      ctx, *graph_bufs_, rows, lane_count, [&](const LockstepStep& step) {
+        const std::uint32_t active = step.count;
+        // Without PRO every edge pays the light/heavy branch and heavy
+        // lanes sit idle for the rest of the step (divergence).
+        std::array<std::uint64_t, 32> relax_idx{};
+        std::array<Distance, 32> relax_val{};
+        std::uint32_t relax_count = 0;
+        if (!options_.pro) ctx.alu(1, active);
+        for (std::uint32_t i = 0; i < active; ++i) {
+          if (!options_.pro && step.weight[i] >= delta) continue;  // heavy
+          relax_idx[relax_count] = step.dst[i];
+          relax_val[relax_count] = dist_u[step.owner[i]] + step.weight[i];
+          ++relax_count;
+        }
+        if (relax_count == 0) return;
+        ctx.alu(2, relax_count);  // add + compare
+        work_.relaxations += relax_count;
 
-    std::array<VertexId, 32> dsts{};
-    std::array<Weight, 32> ws{};
-    ctx.load(graph_bufs_->adjacency, espan, std::span<VertexId>(dsts.data(), active));
-    ctx.load(graph_bufs_->weights, espan, std::span<Weight>(ws.data(), active));
+        std::array<std::uint8_t, 32> improved{};
+        ctx.atomic_min(
+            dist_,
+            std::span<const std::uint64_t>(relax_idx.data(), relax_count),
+            std::span<const Distance>(relax_val.data(), relax_count),
+            std::span<std::uint8_t>(improved.data(), relax_count));
 
-    // Without PRO every edge pays the light/heavy branch and heavy lanes
-    // sit idle for the rest of the step (divergence).
-    std::array<std::uint64_t, 32> relax_idx{};
-    std::array<Distance, 32> relax_val{};
-    std::array<std::uint32_t, 32> relax_lane{};
-    std::uint32_t relax_count = 0;
-    if (!options_.pro) ctx.alu(1, active);
-    for (std::uint32_t i = 0; i < active; ++i) {
-      if (!options_.pro && ws[i] >= delta) continue;  // heavy: skip here
-      relax_idx[relax_count] = dsts[i];
-      relax_val[relax_count] = dist_u[lane_of[i]] + ws[i];
-      relax_lane[relax_count] = i;
-      ++relax_count;
-    }
-    if (relax_count == 0) continue;
-    ctx.alu(2, relax_count);  // add + compare
-    work_.relaxations += relax_count;
-
-    std::array<std::uint8_t, 32> improved{};
-    ctx.atomic_min(dist_, std::span<const std::uint64_t>(relax_idx.data(), relax_count),
-                   std::span<const Distance>(relax_val.data(), relax_count),
-                   std::span<std::uint8_t>(improved.data(), relax_count));
-
-    std::uint32_t enq = 0;
-    for (std::uint32_t i = 0; i < relax_count; ++i) {
-      if (!improved[i]) continue;
-      ++work_.total_updates;
-      ++stats.phase1_updates;
-      if (relax_val[i] < hi) {
-        const auto v = static_cast<VertexId>(relax_idx[i]);
-        if (!in_queue_[v]) ++enq;
-        enqueue(ctx, v, 1);
-      }
-    }
-    if (enq > 0) {
-      if (options_.adwl) {
-        // Workload-list classification costs a light-degree lookup.
-        ctx.alu(1, enq);
-      }
-      charge_enqueue(ctx, enq);
-    }
-  }
+        std::uint32_t enq = 0;
+        for (std::uint32_t i = 0; i < relax_count; ++i) {
+          if (!improved[i]) continue;
+          ++work_.total_updates;
+          ++stats.phase1_updates;
+          if (relax_val[i] < hi) {
+            const auto v = static_cast<VertexId>(relax_idx[i]);
+            if (!in_queue_[v]) ++enq;
+            enqueue(ctx, v, 1);
+          }
+        }
+        if (enq > 0) {
+          if (options_.adwl) {
+            // Workload-list classification costs a light-degree lookup.
+            ctx.alu(1, enq);
+          }
+          charge_enqueue(ctx, enq);
+        }
+      });
 }
 
 void GpuDeltaStepping::child_warp(gpusim::WarpCtx& ctx,
-                                  const ChildChunk& chunk, Weight hi,
+                                  const EdgeChunk& chunk, Weight hi,
                                   Weight delta, BucketStats& stats) {
-  const auto count = static_cast<std::uint32_t>(chunk.edge_end -
-                                                chunk.edge_begin);
+  const std::uint32_t count = chunk.size();
   RDBS_DCHECK(count > 0 && count <= 32);
   // The chunk's 32 consecutive edges load fully coalesced.
   const Distance dist_u = ctx.load_one(dist_, chunk.vertex);
-
-  std::array<std::uint64_t, 32> eidx{};
-  for (std::uint32_t i = 0; i < count; ++i) eidx[i] = chunk.edge_begin + i;
-  std::span<const std::uint64_t> espan(eidx.data(), count);
-
-  std::array<VertexId, 32> dsts{};
-  std::array<Weight, 32> ws{};
-  ctx.load(graph_bufs_->adjacency, espan, std::span<VertexId>(dsts.data(), count));
-  ctx.load(graph_bufs_->weights, espan, std::span<Weight>(ws.data(), count));
+  const EdgeLanes edges =
+      load_edge_chunk(ctx, *graph_bufs_, chunk.begin, count);
   ctx.alu(2, count);
 
   // Chunks lie entirely in the light range with PRO; otherwise each lane
@@ -442,9 +375,9 @@ void GpuDeltaStepping::child_warp(gpusim::WarpCtx& ctx,
   std::uint32_t relax_count = 0;
   if (!options_.pro) ctx.alu(1, count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    if (!options_.pro && ws[i] >= delta) continue;
-    relax_idx[relax_count] = dsts[i];
-    relax_val[relax_count] = dist_u + ws[i];
+    if (!options_.pro && edges.weight[i] >= delta) continue;
+    relax_idx[relax_count] = edges.dst[i];
+    relax_val[relax_count] = dist_u + edges.weight[i];
     ++relax_count;
   }
   if (relax_count == 0) return;
@@ -477,7 +410,7 @@ void GpuDeltaStepping::phase1_async(Weight lo, Weight hi, Weight delta,
   gpusim::KernelScope kernel(*sim_, gpusim::Schedule::kDynamic,
                              /*host_launch=*/true, /*warps_per_block=*/8,
                              stream_);
-  std::vector<ChildChunk> children;
+  std::vector<EdgeChunk> children;
   std::vector<VertexId> lanes;
   while (!vqueue_.empty()) {
     lanes.clear();
@@ -491,7 +424,7 @@ void GpuDeltaStepping::phase1_async(Weight lo, Weight hi, Weight delta,
     kernel.commit(ctx);
     // Drain spawned child chunks before the next parent batch so their
     // updates propagate promptly (Hyper-Q concurrency: dynamically placed).
-    for (const ChildChunk& chunk : children) {
+    for (const EdgeChunk& chunk : children) {
       auto cctx = kernel.make_warp();
       child_warp(cctx, chunk, hi, delta, stats);
       kernel.commit(cctx);
@@ -521,7 +454,7 @@ void GpuDeltaStepping::phase1_sync(Weight lo, Weight hi, Weight delta,
         *sim_, options_.adwl ? gpusim::Schedule::kDynamic
                              : gpusim::Schedule::kStatic,
         /*host_launch=*/true, /*warps_per_block=*/8, stream_);
-    std::vector<ChildChunk> children;
+    std::vector<EdgeChunk> children;
     std::vector<VertexId> lanes;
     for (std::size_t i = 0; i < frontier.size(); i += 32) {
       lanes.assign(frontier.begin() + static_cast<std::ptrdiff_t>(i),
@@ -533,7 +466,7 @@ void GpuDeltaStepping::phase1_sync(Weight lo, Weight hi, Weight delta,
                   options_.adwl ? &children : nullptr, stats);
       kernel.commit(ctx);
     }
-    for (const ChildChunk& chunk : children) {
+    for (const EdgeChunk& chunk : children) {
       auto cctx = kernel.make_warp();
       child_warp(cctx, chunk, hi, delta, stats);
       kernel.commit(cctx);
@@ -597,21 +530,19 @@ GpuDeltaStepping::ScanOutcome GpuDeltaStepping::phase23(
     for (std::uint32_t i = 0; i < cnt; ++i) {
       eidx[i] = heavy_edges[base + i].first;
     }
-    std::span<const std::uint64_t> espan(eidx.data(), cnt);
-    std::array<VertexId, 32> dsts{};
-    std::array<Weight, 32> ws{};
-    ctx.load(graph_bufs_->adjacency, espan, std::span<VertexId>(dsts.data(), cnt));
-    ctx.load(graph_bufs_->weights, espan, std::span<Weight>(ws.data(), cnt));
+    EdgeLanes edges;
+    load_edges(ctx, *graph_bufs_,
+               std::span<const std::uint64_t>(eidx.data(), cnt), edges);
     if (!options_.pro) ctx.alu(1, cnt);  // heavy test branch
 
     std::array<std::uint64_t, 32> relax_idx{};
     std::array<Distance, 32> relax_val{};
     std::uint32_t relax_count = 0;
     for (std::uint32_t i = 0; i < cnt; ++i) {
-      if (!options_.pro && ws[i] < delta) continue;  // light: done already
+      if (!options_.pro && edges.weight[i] < delta) continue;  // light: done
       const VertexId u = heavy_edges[base + i].second;
-      relax_idx[relax_count] = dsts[i];
-      relax_val[relax_count] = dist_[u] + ws[i];
+      relax_idx[relax_count] = edges.dst[i];
+      relax_val[relax_count] = dist_[u] + edges.weight[i];
       ++relax_count;
     }
     if (relax_count == 0) return;

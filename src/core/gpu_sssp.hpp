@@ -77,12 +77,6 @@ class GpuDeltaStepping : public RecoverableEngine {
   const GpuSsspOptions& options() const { return options_; }
 
  private:
-  struct ChildChunk {
-    VertexId vertex;
-    EdgeIndex edge_begin;  // first edge of this chunk
-    EdgeIndex edge_end;    // one past last (within the light range)
-  };
-
   // One recovery attempt: the full Δ-stepping run, re-initializing all
   // mutable device state first (so a retry starts clean).
   GpuRunResult attempt(VertexId source, AttemptContext& query) override;
@@ -99,12 +93,12 @@ class GpuDeltaStepping : public RecoverableEngine {
 
   // Shared warp body: process up to 32 active vertices thread-per-vertex
   // (parent lanes). With ADWL, medium/large vertices spawn child chunks
-  // instead of being processed inline.
+  // (within the light range) instead of being processed inline.
   void parent_warp(gpusim::WarpCtx& ctx, std::vector<VertexId>& lanes,
                    Weight lo, Weight hi, Weight delta,
-                   std::vector<ChildChunk>* children, BucketStats& stats);
+                   std::vector<EdgeChunk>* children, BucketStats& stats);
   // Child warp: one 32-edge coalesced chunk of a medium/large vertex.
-  void child_warp(gpusim::WarpCtx& ctx, const ChildChunk& chunk, Weight hi,
+  void child_warp(gpusim::WarpCtx& ctx, const EdgeChunk& chunk, Weight hi,
                   Weight delta, BucketStats& stats);
 
   // Fused phase 2&3 scan (RDBS) or the two separate scans (BL). Relaxes the

@@ -9,7 +9,6 @@
 namespace rdbs::core::gunrock {
 
 namespace {
-constexpr std::uint32_t kDeviceWord = 4;
 // Output-cursor cell of the frontier control buffer.
 constexpr std::uint64_t kOutCursorCell[1] = {0};
 }
@@ -20,9 +19,7 @@ Enactor::Enactor(gpusim::DeviceSpec device, const graph::Csr& csr,
   sim_.enable_sanitizer(sanitize);
   const VertexId n = csr_.num_vertices();
   const EdgeIndex m = csr_.num_edges();
-  row_offsets_ = sim_.alloc<EdgeIndex>("row_offsets", n + 1, kDeviceWord);
-  adjacency_ = sim_.alloc<VertexId>("adjacency", m, kDeviceWord);
-  weights_ = sim_.alloc<Weight>("weights", m, kDeviceWord);
+  graph_ = DeviceCsrBuffers::upload(sim_, csr_);
   dist_ = sim_.alloc<Distance>("dist", n, kDeviceWord);
   frontier_in_ = sim_.alloc<VertexId>("frontier_in",
                                       std::max<EdgeIndex>(m + 64, 64),
@@ -35,19 +32,6 @@ Enactor::Enactor(gpusim::DeviceSpec device, const graph::Csr& csr,
   // The dedup bitmap is cudaMemset at allocation time.
   visited_ = sim_.alloc<std::uint8_t>("visited", n, 1);
   sim_.mark_initialized(visited_);
-
-  std::copy(csr_.row_offsets().begin(), csr_.row_offsets().end(),
-            row_offsets_.data().begin());
-  std::copy(csr_.adjacency().begin(), csr_.adjacency().end(),
-            adjacency_.data().begin());
-  std::copy(csr_.weights().begin(), csr_.weights().end(),
-            weights_.data().begin());
-  sim_.mark_initialized(row_offsets_);
-  sim_.mark_initialized(adjacency_);
-  sim_.mark_initialized(weights_);
-  sim_.mark_read_only(row_offsets_);
-  sim_.mark_read_only(adjacency_);
-  sim_.mark_read_only(weights_);
 }
 
 void Enactor::seed_frontier(const Frontier& frontier) {
@@ -65,11 +49,7 @@ Frontier Enactor::advance(const Frontier& frontier, const AdvanceFunctor& f) {
 
   // Pass 1 (setup): load the frontier's row bounds and flatten its edges
   // into even 32-edge chunks (Gunrock's load-balanced advance).
-  struct Chunk {
-    VertexId vertex;
-    EdgeIndex begin, end;
-  };
-  std::vector<Chunk> chunks;
+  std::vector<EdgeChunk> chunks;
   // The enactor guarantees the input frontier is resident in frontier_in_
   // (the previous operator's compact-store, or a host upload for seeds).
   seed_frontier(frontier);
@@ -80,11 +60,9 @@ Frontier Enactor::advance(const Frontier& frontier, const AdvanceFunctor& f) {
         std::min<std::size_t>(32, frontier.size() - base));
     auto ctx = kernel.make_warp();
     std::array<std::uint64_t, 32> vidx{};
-    std::array<std::uint64_t, 32> vidx1{};
     std::array<std::uint64_t, 32> slot{};
     for (std::uint32_t i = 0; i < cnt; ++i) {
       vidx[i] = frontier.vertices()[base + i];
-      vidx1[i] = vidx[i] + 1;
       slot[i] = (base + i) % frontier_in_.size();
       // Double-buffer consume contract: every slot read here must have
       // been published by the previous operator's compact-store or the
@@ -94,41 +72,22 @@ Frontier Enactor::advance(const Frontier& frontier, const AdvanceFunctor& f) {
     std::array<VertexId, 32> tmp{};
     ctx.load(frontier_in_, std::span<const std::uint64_t>(slot.data(), cnt),
              std::span<VertexId>(tmp.data(), cnt));
-    std::array<EdgeIndex, 32> rb{};
-    std::array<EdgeIndex, 32> re{};
-    {
-      std::array<EdgeIndex, 32> t2{};
-      ctx.load(row_offsets_, std::span<const std::uint64_t>(vidx.data(), cnt),
-               std::span<EdgeIndex>(t2.data(), cnt));
-      for (std::uint32_t i = 0; i < cnt; ++i) rb[i] = t2[i];
-      ctx.load(row_offsets_,
-               std::span<const std::uint64_t>(vidx1.data(), cnt),
-               std::span<EdgeIndex>(t2.data(), cnt));
-      for (std::uint32_t i = 0; i < cnt; ++i) re[i] = t2[i];
-    }
+    const RowBounds rows = load_row_bounds(
+        ctx, graph_, std::span<const std::uint64_t>(vidx.data(), cnt));
     ctx.alu(4, cnt);  // prefix-sum steps of the flattening
     for (std::uint32_t i = 0; i < cnt; ++i) {
-      const auto v = frontier.vertices()[base + i];
-      for (EdgeIndex e = rb[i]; e < re[i]; e += 32) {
-        chunks.push_back({v, e, std::min<EdgeIndex>(e + 32, re[i])});
-      }
+      append_edge_chunks(chunks, frontier.vertices()[base + i],
+                         rows.begin[i], rows.end[i]);
     }
     kernel.commit(ctx);
   }
 
   // Pass 2 (expand): one warp per chunk; functor decides emissions.
-  for (const Chunk& chunk : chunks) {
+  for (const EdgeChunk& chunk : chunks) {
     auto ctx = kernel.make_warp();
-    const auto cnt = static_cast<std::uint32_t>(chunk.end - chunk.begin);
-    const Distance du = ctx.load_one(dist_, chunk.vertex);
-    (void)du;
-    std::array<std::uint64_t, 32> eidx{};
-    for (std::uint32_t i = 0; i < cnt; ++i) eidx[i] = chunk.begin + i;
-    std::span<const std::uint64_t> es(eidx.data(), cnt);
-    std::array<VertexId, 32> dsts{};
-    std::array<Weight, 32> ws{};
-    ctx.load(adjacency_, es, std::span<VertexId>(dsts.data(), cnt));
-    ctx.load(weights_, es, std::span<Weight>(ws.data(), cnt));
+    const std::uint32_t cnt = chunk.size();
+    ctx.load_one(dist_, chunk.vertex);  // the source distance the functor reads
+    const EdgeLanes edges = load_edge_chunk(ctx, graph_, chunk.begin, cnt);
     ctx.alu(2, cnt);
 
     // The functor's writes (e.g. atomicMin on dist) are charged as one
@@ -137,11 +96,12 @@ Frontier Enactor::advance(const Frontier& frontier, const AdvanceFunctor& f) {
     std::array<VertexId, 32> vals{};
     std::uint32_t emitted = 0;
     for (std::uint32_t i = 0; i < cnt; ++i) {
-      if (f(chunk.vertex, dsts[i], ws[i])) {
-        emit_idx[emitted] = dsts[i];
-        vals[emitted] = dsts[i];
+      const VertexId dst = edges.dst[i];
+      if (f(chunk.vertex, dst, edges.weight[i])) {
+        emit_idx[emitted] = dst;
+        vals[emitted] = dst;
         ++emitted;
-        out.vertices_.push_back(dsts[i]);
+        out.vertices_.push_back(dst);
       }
     }
     if (emitted > 0) {
@@ -238,32 +198,6 @@ Frontier Enactor::filter(const Frontier& frontier,
   return out;
 }
 
-void Enactor::compute(const Frontier& frontier, const ComputeFunctor& f) {
-  if (frontier.empty()) return;
-  seed_frontier(frontier);
-  sim_.label_next_launch("compute");
-  gpusim::KernelScope kernel(sim_, gpusim::Schedule::kStatic, true);
-  for (std::size_t base = 0; base < frontier.size(); base += 32) {
-    const auto cnt = static_cast<std::uint32_t>(
-        std::min<std::size_t>(32, frontier.size() - base));
-    auto ctx = kernel.make_warp();
-    std::array<std::uint64_t, 32> slot{};
-    for (std::uint32_t i = 0; i < cnt; ++i) {
-      slot[i] = (base + i) % frontier_in_.size();
-      ctx.spin_wait(frontier_in_, slot[i]);  // double-buffer consume
-    }
-    std::array<VertexId, 32> tmp{};
-    ctx.load(frontier_in_, std::span<const std::uint64_t>(slot.data(), cnt),
-             std::span<VertexId>(tmp.data(), cnt));
-    ctx.alu(2, cnt);
-    for (std::uint32_t i = 0; i < cnt; ++i) {
-      f(frontier.vertices()[base + i]);
-    }
-    kernel.commit(ctx);
-  }
-  kernel.finish();
-}
-
 GpuRunResult sssp(gpusim::DeviceSpec device, const graph::Csr& csr,
                   VertexId source, const GunrockSsspOptions& options) {
   Enactor enactor(std::move(device), csr, options.sanitize);
@@ -281,23 +215,8 @@ GpuRunResult sssp(gpusim::DeviceSpec device, const graph::Csr& csr,
   std::fill(dist.data().begin(), dist.data().end(),
             graph::kInfiniteDistance);
   // Init kernel (coalesced stores over dist).
-  enactor.sim().label_next_launch("init_distances");
-  enactor.sim().run_kernel(
-      gpusim::Schedule::kStatic, (csr.num_vertices() + 31) / 32, 8,
-      [&](gpusim::WarpCtx& ctx, std::uint64_t w) {
-        const std::uint64_t begin = w * 32;
-        const std::uint64_t end =
-            std::min<std::uint64_t>(begin + 32, csr.num_vertices());
-        const auto cnt = static_cast<std::uint32_t>(end - begin);
-        std::array<std::uint64_t, 32> idx{};
-        std::array<Distance, 32> inf{};
-        for (std::uint32_t i = 0; i < cnt; ++i) {
-          idx[i] = begin + i;
-          inf[i] = graph::kInfiniteDistance;
-        }
-        ctx.store(dist, std::span<const std::uint64_t>(idx.data(), cnt),
-                  std::span<const Distance>(inf.data(), cnt));
-      });
+  fill_kernel(enactor.sim(), "init_distances", csr.num_vertices(), 0,
+              Fill{dist, graph::kInfiniteDistance});
   dist[source] = 0;
   enactor.sim().mark_initialized(dist, source, 1);
 

@@ -8,8 +8,7 @@
 //             (load-balanced across warps: edges are flattened into even
 //             chunks, Gunrock's per-load-balancing strategy);
 //   filter  — compact a frontier through a per-vertex predicate (dedup +
-//             validity), producing the next iteration's frontier;
-//   compute — apply a per-vertex functor to the whole frontier.
+//             validity), producing the next iteration's frontier.
 //
 // The operators charge realistic costs (frontier loads, functor ALU,
 // atomic scatters, compaction scans) through a shared GpuSim. SSSP is then
@@ -23,6 +22,7 @@
 #include <functional>
 #include <vector>
 
+#include "core/device_graph.hpp"
 #include "core/options.hpp"
 #include "core/run_metrics.hpp"
 #include "gpusim/sim.hpp"
@@ -41,8 +41,6 @@ using AdvanceFunctor =
     std::function<bool(VertexId src, VertexId dst, Weight w)>;
 // Per-vertex predicate for filter.
 using FilterPredicate = std::function<bool(VertexId)>;
-// Per-vertex functor for compute.
-using ComputeFunctor = std::function<void(VertexId)>;
 
 // The operator context: owns the simulator and the device-resident graph.
 class Frontier;
@@ -58,8 +56,6 @@ class Enactor {
   // filter: keep vertices passing `pred`, dropping duplicates (Gunrock's
   // bitmap-based dedup), in one compaction kernel.
   Frontier filter(const Frontier& frontier, const FilterPredicate& pred);
-  // compute: apply `f` to every frontier vertex (one kernel).
-  void compute(const Frontier& frontier, const ComputeFunctor& f);
 
   gpusim::GpuSim& sim() { return sim_; }
   const graph::Csr& csr() const { return csr_; }
@@ -78,9 +74,7 @@ class Enactor {
   gpusim::GpuSim sim_;
   const graph::Csr& csr_;
 
-  gpusim::Buffer<EdgeIndex> row_offsets_;
-  gpusim::Buffer<VertexId> adjacency_;
-  gpusim::Buffer<Weight> weights_;
+  DeviceCsrBuffers graph_;
   gpusim::Buffer<Distance> dist_;
   // Double-buffered frontier queues (Gunrock's ping-pong): each operator
   // reads frontier_in_ and compact-stores its output into frontier_out_,

@@ -14,7 +14,6 @@ using graph::VertexId;
 using graph::Weight;
 
 namespace {
-constexpr std::uint32_t kDeviceWord = 4;
 // Cells of Davidson's queue control buffer (atomically claimed cursors).
 constexpr std::uint64_t kNearTailCell[1] = {0};
 constexpr std::uint64_t kFarTailCell[1] = {1};
@@ -34,26 +33,10 @@ HarishNarayanan::HarishNarayanan(gpusim::DeviceSpec device,
   if (fault.enabled) sim_.enable_fault_injection(fault);
   ctx_.attach(sim_);
   const VertexId n = csr_.num_vertices();
-  const EdgeIndex m = csr_.num_edges();
-  row_offsets_ = sim_.alloc<EdgeIndex>("row_offsets", n + 1, kDeviceWord);
-  adjacency_ = sim_.alloc<VertexId>("adjacency", m, kDeviceWord);
-  weights_ = sim_.alloc<Weight>("weights", m, kDeviceWord);
+  graph_ = DeviceCsrBuffers::upload(sim_, csr_);
   dist_ = sim_.alloc<Distance>("cost", n, kDeviceWord);
   updating_dist_ = sim_.alloc<Distance>("updating_cost", n, kDeviceWord);
   mask_ = sim_.alloc<std::uint8_t>("mask", n, 1);
-
-  std::copy(csr_.row_offsets().begin(), csr_.row_offsets().end(),
-            row_offsets_.data().begin());
-  std::copy(csr_.adjacency().begin(), csr_.adjacency().end(),
-            adjacency_.data().begin());
-  std::copy(csr_.weights().begin(), csr_.weights().end(),
-            weights_.data().begin());
-  sim_.mark_initialized(row_offsets_);
-  sim_.mark_initialized(adjacency_);
-  sim_.mark_initialized(weights_);
-  sim_.mark_read_only(row_offsets_);
-  sim_.mark_read_only(adjacency_);
-  sim_.mark_read_only(weights_);
 }
 
 GpuRunResult HarishNarayanan::attempt(VertexId source,
@@ -65,28 +48,10 @@ GpuRunResult HarishNarayanan::attempt(VertexId source,
 
   // Initialization kernel: cost = updating_cost = inf, mask = 0; then the
   // source seeded by a one-thread kernel (exactly the 2007 structure).
-  sim_.label_next_launch("init_arrays");
-  sim_.run_kernel(
-      gpusim::Schedule::kStatic, warps, 8,
-      [&](gpusim::WarpCtx& ctx, std::uint64_t w) {
-        const std::uint64_t begin = w * 32;
-        const std::uint64_t end = std::min<std::uint64_t>(begin + 32, n);
-        const auto lanes = static_cast<std::uint32_t>(end - begin);
-        std::array<std::uint64_t, 32> idx{};
-        std::array<Distance, 32> inf{};
-        std::array<std::uint8_t, 32> zero{};
-        for (std::uint32_t i = 0; i < lanes; ++i) {
-          idx[i] = begin + i;
-          inf[i] = graph::kInfiniteDistance;
-          zero[i] = 0;
-        }
-        std::span<const std::uint64_t> is(idx.data(), lanes);
-        ctx.store(dist_, is, std::span<const Distance>(inf.data(), lanes));
-        ctx.store(updating_dist_, is,
-                  std::span<const Distance>(inf.data(), lanes));
-        ctx.store(mask_, is,
-                  std::span<const std::uint8_t>(zero.data(), lanes));
-      });
+  fill_kernel(sim_, "init_arrays", n, 0,
+              Fill{dist_, graph::kInfiniteDistance},
+              Fill{updating_dist_, graph::kInfiniteDistance},
+              Fill{mask_, std::uint8_t{0}});
   sim_.label_next_launch("seed_source");
   sim_.run_kernel(gpusim::Schedule::kStatic, 1, 1,
                   [&](gpusim::WarpCtx& ctx, std::uint64_t) {
@@ -132,60 +97,36 @@ GpuRunResult HarishNarayanan::attempt(VertexId source,
 
           // Row bounds + own distance for the active lanes.
           std::array<std::uint64_t, 32> vact{};
-          std::array<std::uint64_t, 32> vact1{};
           for (std::uint32_t i = 0; i < active; ++i) {
             vact[i] = begin + active_lane[i];
-            vact1[i] = vact[i] + 1;
           }
           std::span<const std::uint64_t> va(vact.data(), active);
-          std::array<EdgeIndex, 32> rb{};
-          std::array<EdgeIndex, 32> re{};
-          ctx.load(row_offsets_, va, std::span<EdgeIndex>(rb.data(), active));
-          ctx.load(row_offsets_,
-                   std::span<const std::uint64_t>(vact1.data(), active),
-                   std::span<EdgeIndex>(re.data(), active));
+          const RowBounds rows = load_row_bounds(ctx, graph_, va);
           std::array<Distance, 32> du{};
           ctx.load(dist_, va, std::span<Distance>(du.data(), active));
           ctx.alu(2, active);
 
-          std::uint64_t max_deg = 0;
-          for (std::uint32_t i = 0; i < active; ++i) {
-            max_deg = std::max<std::uint64_t>(max_deg, re[i] - rb[i]);
-          }
-          for (std::uint64_t s = 0; s < max_deg; ++s) {
-            std::array<std::uint64_t, 32> eidx{};
-            std::array<std::uint32_t, 32> owner{};
-            std::uint32_t cnt = 0;
-            for (std::uint32_t i = 0; i < active; ++i) {
-              if (rb[i] + s < re[i]) {
-                eidx[cnt] = rb[i] + s;
-                owner[cnt] = i;
-                ++cnt;
-              }
-            }
-            if (cnt == 0) break;
-            std::span<const std::uint64_t> es(eidx.data(), cnt);
-            std::array<VertexId, 32> dsts{};
-            std::array<Weight, 32> ws{};
-            ctx.load(adjacency_, es, std::span<VertexId>(dsts.data(), cnt));
-            ctx.load(weights_, es, std::span<Weight>(ws.data(), cnt));
-            ctx.alu(2, cnt);
-            work.relaxations += cnt;
-            std::array<std::uint64_t, 32> tgt{};
-            std::array<Distance, 32> val{};
-            for (std::uint32_t i = 0; i < cnt; ++i) {
-              tgt[i] = dsts[i];
-              val[i] = du[owner[i]] + ws[i];
-            }
-            std::array<std::uint8_t, 32> improved{};
-            ctx.atomic_min(updating_dist_,
-                           std::span<const std::uint64_t>(tgt.data(), cnt),
-                           std::span<const Distance>(val.data(), cnt),
-                           std::span<std::uint8_t>(improved.data(), cnt));
-            for (std::uint32_t i = 0; i < cnt; ++i) {
-              work.total_updates += improved[i];
-            }
-          }
+          for_each_lockstep_edge(
+              ctx, graph_, rows, active, [&](const LockstepStep& step) {
+                const std::uint32_t cnt = step.count;
+                ctx.alu(2, cnt);
+                work.relaxations += cnt;
+                std::array<std::uint64_t, 32> tgt{};
+                std::array<Distance, 32> val{};
+                for (std::uint32_t i = 0; i < cnt; ++i) {
+                  tgt[i] = step.dst[i];
+                  val[i] = du[step.owner[i]] + step.weight[i];
+                }
+                std::array<std::uint8_t, 32> improved{};
+                ctx.atomic_min(
+                    updating_dist_,
+                    std::span<const std::uint64_t>(tgt.data(), cnt),
+                    std::span<const Distance>(val.data(), cnt),
+                    std::span<std::uint8_t>(improved.data(), cnt));
+                for (std::uint32_t i = 0; i < cnt; ++i) {
+                  work.total_updates += improved[i];
+                }
+              });
         });
 
     // Kernel 2: commit improvements, rebuild the mask, resync the shadow.
@@ -254,9 +195,7 @@ DavidsonNearFar::DavidsonNearFar(gpusim::DeviceSpec device,
   ctx_.attach(sim_);
   const VertexId n = csr_.num_vertices();
   const EdgeIndex m = csr_.num_edges();
-  row_offsets_ = sim_.alloc<EdgeIndex>("row_offsets", n + 1, kDeviceWord);
-  adjacency_ = sim_.alloc<VertexId>("adjacency", m, kDeviceWord);
-  weights_ = sim_.alloc<Weight>("weights", m, kDeviceWord);
+  graph_ = DeviceCsrBuffers::upload(sim_, csr_);
   dist_ = sim_.alloc<Distance>("dist", n, kDeviceWord);
   near_queue_ = sim_.alloc<VertexId>("near", std::max<std::size_t>(n, 64),
                                      kDeviceWord);
@@ -265,19 +204,6 @@ DavidsonNearFar::DavidsonNearFar(gpusim::DeviceSpec device,
   queue_ctrl_ = sim_.alloc<std::uint32_t>("queue_ctrl", 2, kDeviceWord);
   sim_.mark_initialized(queue_ctrl_);
   in_near_ = sim_.alloc<std::uint8_t>("in_near", n, 1);
-
-  std::copy(csr_.row_offsets().begin(), csr_.row_offsets().end(),
-            row_offsets_.data().begin());
-  std::copy(csr_.adjacency().begin(), csr_.adjacency().end(),
-            adjacency_.data().begin());
-  std::copy(csr_.weights().begin(), csr_.weights().end(),
-            weights_.data().begin());
-  sim_.mark_initialized(row_offsets_);
-  sim_.mark_initialized(adjacency_);
-  sim_.mark_initialized(weights_);
-  sim_.mark_read_only(row_offsets_);
-  sim_.mark_read_only(adjacency_);
-  sim_.mark_read_only(weights_);
 }
 
 GpuRunResult DavidsonNearFar::attempt(VertexId source,
@@ -289,23 +215,8 @@ GpuRunResult DavidsonNearFar::attempt(VertexId source,
   std::fill(dist_.data().begin(), dist_.data().end(),
             graph::kInfiniteDistance);
   // Init kernel cost: one coalesced pass over dist.
-  sim_.label_next_launch("init_distances");
-  sim_.run_kernel(gpusim::Schedule::kStatic, (n + 31) / 32, 8,
-                  [&](gpusim::WarpCtx& ctx, std::uint64_t w) {
-                    const std::uint64_t begin = w * 32;
-                    const std::uint64_t end =
-                        std::min<std::uint64_t>(begin + 32, n);
-                    const auto lanes = static_cast<std::uint32_t>(end - begin);
-                    std::array<std::uint64_t, 32> idx{};
-                    std::array<Distance, 32> inf{};
-                    for (std::uint32_t i = 0; i < lanes; ++i) {
-                      idx[i] = begin + i;
-                      inf[i] = graph::kInfiniteDistance;
-                    }
-                    ctx.store(dist_,
-                              std::span<const std::uint64_t>(idx.data(), lanes),
-                              std::span<const Distance>(inf.data(), lanes));
-                  });
+  fill_kernel(sim_, "init_distances", n, 0,
+              Fill{dist_, graph::kInfiniteDistance});
   // Host seed: dist[source] plus the first near-queue slot, modeled as H2D
   // uploads.
   dist_[source] = 0;
@@ -340,14 +251,6 @@ GpuRunResult DavidsonNearFar::attempt(VertexId source,
     ctx.volatile_touch(buf, std::span<const std::uint64_t>(slot.data(), cnt),
                        /*is_store=*/true);
     tail += cnt;
-  };
-
-  // Flattened (vertex, edge) workfront chunk: Workfront Sweep's
-  // edge-balanced mapping — each warp handles 32 consecutive frontier
-  // edges, never a whole vertex.
-  struct Chunk {
-    VertexId vertex;
-    EdgeIndex begin, end;
   };
 
   while (!near.empty() || !far.empty()) {
@@ -428,9 +331,11 @@ GpuRunResult DavidsonNearFar::attempt(VertexId source,
       continue;
     }
 
-    // --- Workfront Sweep over the near frontier: flatten to edge chunks.
+    // --- Workfront Sweep over the near frontier: flatten to edge chunks
+    // (edge-balanced mapping: each warp handles 32 consecutive frontier
+    // edges, never a whole vertex).
     ++work.iterations;
-    std::vector<Chunk> chunks;
+    std::vector<EdgeChunk> chunks;
     {
       // The flattening itself is a scan+compact on device; charge one pass
       // over the frontier (queue-slot reads + row-bound loads + prefix-sum
@@ -443,11 +348,9 @@ GpuRunResult DavidsonNearFar::attempt(VertexId source,
             std::min<std::size_t>(32, near.size() - base));
         auto ctx = setup.make_warp();
         std::array<std::uint64_t, 32> vidx{};
-        std::array<std::uint64_t, 32> vidx1{};
         std::array<std::uint64_t, 32> slot{};
         for (std::uint32_t i = 0; i < cnt; ++i) {
           vidx[i] = near[base + i];
-          vidx1[i] = vidx[i] + 1;
           slot[i] = (near_base + base + i) % near_queue_.size();
           ctx.spin_wait(near_queue_, slot[i]);  // gsan: consumed slot must
                                                 // have been published
@@ -455,20 +358,13 @@ GpuRunResult DavidsonNearFar::attempt(VertexId source,
         ctx.volatile_touch(near_queue_,
                            std::span<const std::uint64_t>(slot.data(), cnt),
                            /*is_store=*/false);
-        std::array<EdgeIndex, 32> rb{};
-        std::array<EdgeIndex, 32> re{};
-        ctx.load(row_offsets_, std::span<const std::uint64_t>(vidx.data(), cnt),
-                 std::span<EdgeIndex>(rb.data(), cnt));
-        ctx.load(row_offsets_,
-                 std::span<const std::uint64_t>(vidx1.data(), cnt),
-                 std::span<EdgeIndex>(re.data(), cnt));
+        const RowBounds rows = load_row_bounds(
+            ctx, graph_, std::span<const std::uint64_t>(vidx.data(), cnt));
         ctx.alu(4, cnt);  // prefix-sum steps of the compact
         for (std::uint32_t i = 0; i < cnt; ++i) {
           const VertexId v = near[base + i];
           in_near_[v] = 0;
-          for (EdgeIndex e = rb[i]; e < re[i]; e += 32) {
-            chunks.push_back({v, e, std::min<EdgeIndex>(e + 32, re[i])});
-          }
+          append_edge_chunks(chunks, v, rows.begin[i], rows.end[i]);
         }
         setup.commit(ctx);
       }
@@ -479,24 +375,18 @@ GpuRunResult DavidsonNearFar::attempt(VertexId source,
 
     sim_.label_next_launch("workfront_sweep");
     gpusim::KernelScope sweep(sim_, gpusim::Schedule::kStatic, true);
-    for (const Chunk& chunk : chunks) {
+    for (const EdgeChunk& chunk : chunks) {
       auto ctx = sweep.make_warp();
-      const auto cnt = static_cast<std::uint32_t>(chunk.end - chunk.begin);
+      const std::uint32_t cnt = chunk.size();
       const Distance du = ctx.load_one(dist_, chunk.vertex);
-      std::array<std::uint64_t, 32> eidx{};
-      for (std::uint32_t i = 0; i < cnt; ++i) eidx[i] = chunk.begin + i;
-      std::span<const std::uint64_t> es(eidx.data(), cnt);
-      std::array<VertexId, 32> dsts{};
-      std::array<Weight, 32> ws{};
-      ctx.load(adjacency_, es, std::span<VertexId>(dsts.data(), cnt));
-      ctx.load(weights_, es, std::span<Weight>(ws.data(), cnt));
+      const EdgeLanes edges = load_edge_chunk(ctx, graph_, chunk.begin, cnt);
       ctx.alu(2, cnt);
       work.relaxations += cnt;
       std::array<std::uint64_t, 32> tgt{};
       std::array<Distance, 32> val{};
       for (std::uint32_t i = 0; i < cnt; ++i) {
-        tgt[i] = dsts[i];
-        val[i] = du + ws[i];
+        tgt[i] = edges.dst[i];
+        val[i] = du + edges.weight[i];
       }
       std::array<std::uint8_t, 32> improved{};
       ctx.atomic_min(dist_, std::span<const std::uint64_t>(tgt.data(), cnt),

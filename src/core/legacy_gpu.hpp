@@ -20,6 +20,7 @@
 
 #include <deque>
 
+#include "core/device_graph.hpp"
 #include "core/options.hpp"
 #include "core/recovery.hpp"
 #include "core/run_metrics.hpp"
@@ -43,9 +44,7 @@ class HarishNarayanan : public RecoverableEngine {
 
   gpusim::GpuSim sim_;
 
-  gpusim::Buffer<graph::EdgeIndex> row_offsets_;
-  gpusim::Buffer<graph::VertexId> adjacency_;
-  gpusim::Buffer<graph::Weight> weights_;
+  DeviceCsrBuffers graph_;
   gpusim::Buffer<graph::Distance> dist_;
   gpusim::Buffer<graph::Distance> updating_dist_;
   gpusim::Buffer<std::uint8_t> mask_;
@@ -74,9 +73,7 @@ class DavidsonNearFar : public RecoverableEngine {
   gpusim::GpuSim sim_;
   DavidsonOptions options_;
 
-  gpusim::Buffer<graph::EdgeIndex> row_offsets_;
-  gpusim::Buffer<graph::VertexId> adjacency_;
-  gpusim::Buffer<graph::Weight> weights_;
+  DeviceCsrBuffers graph_;
   gpusim::Buffer<graph::Distance> dist_;
   gpusim::Buffer<graph::VertexId> near_queue_;
   gpusim::Buffer<graph::VertexId> far_pile_;

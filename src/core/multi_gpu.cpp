@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/macros.hpp"
+#include "core/device_graph.hpp"
 
 namespace rdbs::core {
 
@@ -15,7 +16,6 @@ using graph::VertexId;
 using graph::Weight;
 
 namespace {
-constexpr std::uint32_t kDeviceWord = 4;
 // One remote relaxation message: packed (vertex id, fp32 distance).
 constexpr double kMessageBytes = 8.0;
 // Cursor cells of the per-shard queue control buffer.
@@ -31,9 +31,7 @@ struct MultiGpuDeltaStepping::Shard {
   gpusim::GpuSim sim;
   VertexId first = 0, last = 0;  // owned vertex range [first, last)
 
-  gpusim::Buffer<EdgeIndex> row_offsets;  // rows of owned vertices
-  gpusim::Buffer<VertexId> adjacency;
-  gpusim::Buffer<Weight> weights;
+  DeviceCsrBuffers graph;                 // rows of owned vertices
   gpusim::Buffer<Distance> dist;          // owned shard
   gpusim::Buffer<VertexId> queue;
   // [0]=local queue tail, [1]=outbox (remote message) cursor.
@@ -92,20 +90,15 @@ MultiGpuDeltaStepping::MultiGpuDeltaStepping(gpusim::DeviceSpec device_template,
           0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(d + 1);
       shard->sim.enable_fault_injection(shard_fault);
     }
-    shard->first = static_cast<VertexId>(d) * shard_size_;
+    // With more devices than shard-sized slices (e.g. 4 devices, 5
+    // vertices) the trailing shards are empty: [n, n).
+    shard->first =
+        std::min<VertexId>(n, static_cast<VertexId>(d) * shard_size_);
     shard->last = std::min<VertexId>(n, shard->first + shard_size_);
-    const VertexId local_n =
-        shard->last > shard->first ? shard->last - shard->first : 0;
-    EdgeIndex local_m = 0;
-    if (local_n > 0) {
-      local_m = csr_.row_end(shard->last - 1) - csr_.row_begin(shard->first);
-    }
-    shard->row_offsets = shard->sim.alloc<EdgeIndex>(
-        "row_offsets", local_n + 1, kDeviceWord);
-    shard->adjacency = shard->sim.alloc<VertexId>(
-        "adjacency", std::max<EdgeIndex>(local_m, 1), kDeviceWord);
-    shard->weights = shard->sim.alloc<Weight>(
-        "weights", std::max<EdgeIndex>(local_m, 1), kDeviceWord);
+    const VertexId local_n = shard->last - shard->first;
+    // Upload the owned rows (uncosted, as elsewhere).
+    shard->graph =
+        DeviceCsrBuffers::upload(shard->sim, csr_, shard->first, shard->last);
     shard->dist = shard->sim.alloc<Distance>(
         "dist", std::max<VertexId>(local_n, 1), kDeviceWord);
     shard->queue = shard->sim.alloc<VertexId>(
@@ -115,24 +108,6 @@ MultiGpuDeltaStepping::MultiGpuDeltaStepping(gpusim::DeviceSpec device_template,
     shard->sim.mark_initialized(shard->queue_ctrl);
     shard->in_queue = shard->sim.alloc<std::uint8_t>(
         "in_queue", std::max<VertexId>(local_n, 1), 1);
-
-    // Upload the owned rows (uncosted, as elsewhere).
-    const EdgeIndex base = local_n > 0 ? csr_.row_begin(shard->first) : 0;
-    for (VertexId v = 0; v < local_n; ++v) {
-      shard->row_offsets[v] = csr_.row_begin(shard->first + v) - base;
-    }
-    shard->row_offsets[local_n] = local_m;
-    for (EdgeIndex e = 0; e < local_m; ++e) {
-      shard->adjacency[e] = csr_.adjacency()[base + e];
-      shard->weights[e] = csr_.weights()[base + e];
-    }
-    // H2D upload of the immutable CSR slice.
-    shard->sim.mark_initialized(shard->row_offsets);
-    shard->sim.mark_initialized(shard->adjacency);
-    shard->sim.mark_initialized(shard->weights);
-    shard->sim.mark_read_only(shard->row_offsets);
-    shard->sim.mark_read_only(shard->adjacency);
-    shard->sim.mark_read_only(shard->weights);
     ctx_.attach(shard->sim);
     shards_.push_back(std::move(shard));
   }
@@ -203,24 +178,8 @@ GpuRunResult MultiGpuDeltaStepping::attempt(VertexId source,
     // Init kernel per device (parallel across devices: makespan takes max).
     const VertexId local_n = shard->last - shard->first;
     if (local_n == 0) continue;
-    shard->sim.label_next_launch("init_distances");
-    shard->sim.run_kernel(
-        gpusim::Schedule::kStatic, (local_n + 31) / 32, 8,
-        [&](gpusim::WarpCtx& ctx, std::uint64_t w) {
-          const std::uint64_t begin = w * 32;
-          const std::uint64_t end =
-              std::min<std::uint64_t>(begin + 32, local_n);
-          const auto lanes = static_cast<std::uint32_t>(end - begin);
-          std::array<std::uint64_t, 32> idx{};
-          std::array<Distance, 32> inf{};
-          for (std::uint32_t i = 0; i < lanes; ++i) {
-            idx[i] = begin + i;
-            inf[i] = graph::kInfiniteDistance;
-          }
-          ctx.store(shard->dist,
-                    std::span<const std::uint64_t>(idx.data(), lanes),
-                    std::span<const Distance>(inf.data(), lanes));
-        });
+    fill_kernel(shard->sim, "init_distances", local_n, 0,
+                Fill{shard->dist, graph::kInfiniteDistance});
   }
   {
     double init_ms = 0;
@@ -334,19 +293,14 @@ GpuRunResult MultiGpuDeltaStepping::attempt(VertexId source,
     for (EdgeIndex base = eb; base < ee; base += 32) {
       const auto cnt =
           static_cast<std::uint32_t>(std::min<EdgeIndex>(32, ee - base));
-      std::array<std::uint64_t, 32> eidx{};
-      for (std::uint32_t i = 0; i < cnt; ++i) eidx[i] = base + i;
-      std::span<const std::uint64_t> es(eidx.data(), cnt);
-      std::array<VertexId, 32> dsts{};
-      std::array<Weight, 32> ws{};
-      ctx.load(shard.adjacency, es, std::span<VertexId>(dsts.data(), cnt));
-      ctx.load(shard.weights, es, std::span<Weight>(ws.data(), cnt));
+      const EdgeLanes edges = load_edge_chunk(ctx, shard.graph, base, cnt);
       ctx.alu(3, cnt);  // window predicate + add + compare
       for (std::uint32_t i = 0; i < cnt; ++i) {
-        if (light_only && ws[i] >= delta) continue;
-        if (heavy_only && ws[i] < delta) continue;
-        const VertexId target = dsts[i];
-        const Distance through = du + ws[i];
+        const Weight w = edges.weight[i];
+        if (light_only && w >= delta) continue;
+        if (heavy_only && w < delta) continue;
+        const VertexId target = edges.dst[i];
+        const Distance through = du + w;
         if (shard.owns(target)) {
           const VertexId local = target - shard.first;
           if (ctx.atomic_min_one(shard.dist, local, through)) {
@@ -402,8 +356,8 @@ GpuRunResult MultiGpuDeltaStepping::attempt(VertexId source,
             // Pop contract: the enqueuer's st.cg publish must be visible.
             ctx.spin_wait(shard->queue, entry.slot);
           }
-          relax_range(*shard, ctx, lv, shard->row_offsets[lv],
-                      shard->row_offsets[lv + 1], /*light_only=*/true,
+          relax_range(*shard, ctx, lv, shard->graph.row_offsets[lv],
+                      shard->graph.row_offsets[lv + 1], /*light_only=*/true,
                       /*heavy_only=*/false);
           kernel.commit(ctx);
         }
@@ -442,8 +396,8 @@ GpuRunResult MultiGpuDeltaStepping::attempt(VertexId source,
           const VertexId lv = base + i;
           const Distance d = shard->dist[lv];
           if (d >= lo && d < hi) {
-            relax_range(*shard, ctx, lv, shard->row_offsets[lv],
-                        shard->row_offsets[lv + 1], /*light_only=*/false,
+            relax_range(*shard, ctx, lv, shard->graph.row_offsets[lv],
+                        shard->graph.row_offsets[lv + 1], /*light_only=*/false,
                         /*heavy_only=*/true);
           }
         }

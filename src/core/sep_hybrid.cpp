@@ -16,7 +16,6 @@ using graph::VertexId;
 using graph::Weight;
 
 namespace {
-constexpr std::uint32_t kDeviceWord = 4;
 // Cursor cells of the queue control buffer.
 constexpr std::uint64_t kTailCell[1] = {0};
 constexpr std::uint64_t kHeadCell[1] = {1};
@@ -29,9 +28,8 @@ SepHybrid::SepHybrid(gpusim::DeviceSpec device, const graph::Csr& csr,
   if (options_.fault.enabled) sim_.enable_fault_injection(options_.fault);
   const VertexId n = csr_.num_vertices();
   const EdgeIndex m = csr_.num_edges();
-  row_offsets_ = sim_.alloc<EdgeIndex>("row_offsets", n + 1, kDeviceWord);
-  adjacency_ = sim_.alloc<VertexId>("adjacency", m, kDeviceWord);
-  weights_ = sim_.alloc<Weight>("weights", m, kDeviceWord);
+  // H2D upload of the immutable CSR.
+  graph_ = DeviceCsrBuffers::upload(sim_, csr_);
   dist_ = sim_.alloc<Distance>("dist", n, kDeviceWord);
   queue_ = sim_.alloc<VertexId>("queue", std::max<std::size_t>(n, 64),
                                 kDeviceWord);
@@ -39,20 +37,6 @@ SepHybrid::SepHybrid(gpusim::DeviceSpec device, const graph::Csr& csr,
   sim_.mark_initialized(queue_ctrl_);
   in_queue_ = sim_.alloc<std::uint8_t>("in_queue", n, 1);
   ctx_.attach(sim_);
-
-  std::copy(csr_.row_offsets().begin(), csr_.row_offsets().end(),
-            row_offsets_.data().begin());
-  std::copy(csr_.adjacency().begin(), csr_.adjacency().end(),
-            adjacency_.data().begin());
-  std::copy(csr_.weights().begin(), csr_.weights().end(),
-            weights_.data().begin());
-  // H2D upload of the immutable CSR.
-  sim_.mark_initialized(row_offsets_);
-  sim_.mark_initialized(adjacency_);
-  sim_.mark_initialized(weights_);
-  sim_.mark_read_only(row_offsets_);
-  sim_.mark_read_only(adjacency_);
-  sim_.mark_read_only(weights_);
 
   // Symmetry detection: the weighted edge multiset must equal its own
   // reverse. Sort-and-compare keeps it O(m log m) with no hashing.
@@ -112,28 +96,9 @@ GpuRunResult SepHybrid::attempt(VertexId source, AttemptContext& query,
   sssp::WorkStats work;
   std::fill(in_queue_.data().begin(), in_queue_.data().end(), 0);
 
-  // Init kernel.
-  sim_.label_next_launch("init_distances");
-  sim_.run_kernel(gpusim::Schedule::kStatic, (n + 31) / 32, 8,
-                  [&](gpusim::WarpCtx& ctx, std::uint64_t w) {
-                    const std::uint64_t begin = w * 32;
-                    const std::uint64_t end =
-                        std::min<std::uint64_t>(begin + 32, n);
-                    const auto lanes = static_cast<std::uint32_t>(end - begin);
-                    std::array<std::uint64_t, 32> idx{};
-                    std::array<Distance, 32> inf{};
-                    std::array<std::uint8_t, 32> zero{};
-                    for (std::uint32_t i = 0; i < lanes; ++i) {
-                      idx[i] = begin + i;
-                      inf[i] = graph::kInfiniteDistance;
-                      zero[i] = 0;
-                    }
-                    std::span<const std::uint64_t> is(idx.data(), lanes);
-                    ctx.store(dist_, is,
-                              std::span<const Distance>(inf.data(), lanes));
-                    ctx.store(in_queue_, is,
-                              std::span<const std::uint8_t>(zero.data(), lanes));
-                  });
+  fill_kernel(sim_, "init_distances", n, 0,
+              Fill{dist_, graph::kInfiniteDistance},
+              Fill{in_queue_, std::uint8_t{0}});
   sim_.label_next_launch("seed_source");
   sim_.run_kernel(gpusim::Schedule::kStatic, 1, 1,
                   [&](gpusim::WarpCtx& ctx, std::uint64_t) {
@@ -153,10 +118,8 @@ GpuRunResult SepHybrid::attempt(VertexId source, AttemptContext& query,
                        std::span<const VertexId> lanes) {
     const auto lane_count = static_cast<std::uint32_t>(lanes.size());
     std::array<std::uint64_t, 32> vidx{};
-    std::array<std::uint64_t, 32> vidx1{};
     for (std::uint32_t i = 0; i < lane_count; ++i) {
       vidx[i] = lanes[i];
-      vidx1[i] = lanes[i] + 1;
       in_queue_[lanes[i]] = 0;
     }
     std::span<const std::uint64_t> vs(vidx.data(), lane_count);
@@ -179,80 +142,54 @@ GpuRunResult SepHybrid::attempt(VertexId source, AttemptContext& query,
     }
     std::array<Distance, 32> du{};
     ctx.load(dist_, vs, std::span<Distance>(du.data(), lane_count));
-    std::array<EdgeIndex, 32> rb{};
-    std::array<EdgeIndex, 32> re{};
-    {
-      std::array<EdgeIndex, 32> tmp{};
-      ctx.load(row_offsets_, vs, std::span<EdgeIndex>(tmp.data(), lane_count));
-      for (std::uint32_t i = 0; i < lane_count; ++i) rb[i] = tmp[i];
-      ctx.load(row_offsets_,
-               std::span<const std::uint64_t>(vidx1.data(), lane_count),
-               std::span<EdgeIndex>(tmp.data(), lane_count));
-      for (std::uint32_t i = 0; i < lane_count; ++i) re[i] = tmp[i];
-    }
+    const RowBounds rows = load_row_bounds(ctx, graph_, vs);
     ctx.alu(2, lane_count);
-    std::uint64_t max_deg = 0;
-    for (std::uint32_t i = 0; i < lane_count; ++i) {
-      max_deg = std::max<std::uint64_t>(max_deg, re[i] - rb[i]);
-    }
-    for (std::uint64_t s = 0; s < max_deg; ++s) {
-      std::array<std::uint64_t, 32> eidx{};
-      std::array<std::uint32_t, 32> owner{};
-      std::uint32_t cnt = 0;
-      for (std::uint32_t i = 0; i < lane_count; ++i) {
-        if (rb[i] + s < re[i]) {
-          eidx[cnt] = rb[i] + s;
-          owner[cnt] = i;
-          ++cnt;
-        }
-      }
-      if (cnt == 0) break;
-      std::span<const std::uint64_t> es(eidx.data(), cnt);
-      std::array<VertexId, 32> dsts{};
-      std::array<Weight, 32> ws{};
-      ctx.load(adjacency_, es, std::span<VertexId>(dsts.data(), cnt));
-      ctx.load(weights_, es, std::span<Weight>(ws.data(), cnt));
-      ctx.alu(2, cnt);
-      work.relaxations += cnt;
-      std::array<std::uint64_t, 32> tgt{};
-      std::array<Distance, 32> val{};
-      for (std::uint32_t i = 0; i < cnt; ++i) {
-        tgt[i] = dsts[i];
-        val[i] = du[owner[i]] + ws[i];
-      }
-      std::array<std::uint8_t, 32> improved{};
-      ctx.atomic_min(dist_, std::span<const std::uint64_t>(tgt.data(), cnt),
-                     std::span<const Distance>(val.data(), cnt),
-                     std::span<std::uint8_t>(improved.data(), cnt));
-      std::uint32_t enq = 0;
-      std::array<std::uint64_t, 32> flag_idx{};
-      std::array<std::uint64_t, 32> slot{};
-      for (std::uint32_t i = 0; i < cnt; ++i) {
-        if (!improved[i]) continue;
-        ++work.total_updates;
-        const auto v = static_cast<VertexId>(tgt[i]);
-        if (!in_queue_[v]) {
-          in_queue_[v] = 1;
-          frontier.push_back(v);
-          flag_idx[enq] = v;
-          slot[enq] = queue_tail_ % queue_.size();
-          queue_[slot[enq]] = v;
-          ++queue_tail_;
-          ++enq;
-        }
-      }
-      if (enq > 0) {
-        // Push: atomicAdd on the shared tail cursor reserves slots, set
-        // the membership flags atomically, then st.cg the vertex ids.
-        ctx.atomic_touch(queue_ctrl_,
-                         std::span<const std::uint64_t>(kTailCell, 1));
-        ctx.atomic_touch(in_queue_,
-                         std::span<const std::uint64_t>(flag_idx.data(), enq));
-        ctx.volatile_touch(queue_,
-                           std::span<const std::uint64_t>(slot.data(), enq),
-                           /*is_store=*/true);
-      }
-    }
+    for_each_lockstep_edge(
+        ctx, graph_, rows, lane_count, [&](const LockstepStep& step) {
+          const std::uint32_t cnt = step.count;
+          ctx.alu(2, cnt);
+          work.relaxations += cnt;
+          std::array<std::uint64_t, 32> tgt{};
+          std::array<Distance, 32> val{};
+          for (std::uint32_t i = 0; i < cnt; ++i) {
+            tgt[i] = step.dst[i];
+            val[i] = du[step.owner[i]] + step.weight[i];
+          }
+          std::array<std::uint8_t, 32> improved{};
+          ctx.atomic_min(dist_,
+                         std::span<const std::uint64_t>(tgt.data(), cnt),
+                         std::span<const Distance>(val.data(), cnt),
+                         std::span<std::uint8_t>(improved.data(), cnt));
+          std::uint32_t enq = 0;
+          std::array<std::uint64_t, 32> flag_idx{};
+          std::array<std::uint64_t, 32> slot{};
+          for (std::uint32_t i = 0; i < cnt; ++i) {
+            if (!improved[i]) continue;
+            ++work.total_updates;
+            const auto v = static_cast<VertexId>(tgt[i]);
+            if (!in_queue_[v]) {
+              in_queue_[v] = 1;
+              frontier.push_back(v);
+              flag_idx[enq] = v;
+              slot[enq] = queue_tail_ % queue_.size();
+              queue_[slot[enq]] = v;
+              ++queue_tail_;
+              ++enq;
+            }
+          }
+          if (enq > 0) {
+            // Push: atomicAdd on the shared tail cursor reserves slots, set
+            // the membership flags atomically, then st.cg the vertex ids.
+            ctx.atomic_touch(queue_ctrl_,
+                             std::span<const std::uint64_t>(kTailCell, 1));
+            ctx.atomic_touch(
+                in_queue_,
+                std::span<const std::uint64_t>(flag_idx.data(), enq));
+            ctx.volatile_touch(
+                queue_, std::span<const std::uint64_t>(slot.data(), enq),
+                /*is_store=*/true);
+          }
+        });
   };
 
   const std::uint64_t max_rounds = 8 * (std::uint64_t(n) + 16);
@@ -295,61 +232,30 @@ GpuRunResult SepHybrid::attempt(VertexId source, AttemptContext& query,
             const std::uint64_t end = std::min<std::uint64_t>(begin + 32, n);
             const auto lanes = static_cast<std::uint32_t>(end - begin);
             std::array<std::uint64_t, 32> idx{};
-            std::array<std::uint64_t, 32> idx1{};
-            for (std::uint32_t i = 0; i < lanes; ++i) {
-              idx[i] = begin + i;
-              idx1[i] = begin + i + 1;
-            }
+            for (std::uint32_t i = 0; i < lanes; ++i) idx[i] = begin + i;
             std::span<const std::uint64_t> is(idx.data(), lanes);
             std::array<Distance, 32> dv{};
             ctx.load(dist_, is, std::span<Distance>(dv.data(), lanes));
-            std::array<EdgeIndex, 32> rb{};
-            std::array<EdgeIndex, 32> re{};
-            {
-              std::array<EdgeIndex, 32> tmp{};
-              ctx.load(row_offsets_, is,
-                       std::span<EdgeIndex>(tmp.data(), lanes));
-              for (std::uint32_t i = 0; i < lanes; ++i) rb[i] = tmp[i];
-              ctx.load(row_offsets_,
-                       std::span<const std::uint64_t>(idx1.data(), lanes),
-                       std::span<EdgeIndex>(tmp.data(), lanes));
-              for (std::uint32_t i = 0; i < lanes; ++i) re[i] = tmp[i];
-            }
+            const RowBounds rows = load_row_bounds(ctx, graph_, is);
             ctx.alu(2, lanes);
             std::array<Distance, 32> best = dv;
-            std::uint64_t max_deg = 0;
-            for (std::uint32_t i = 0; i < lanes; ++i) {
-              max_deg = std::max<std::uint64_t>(max_deg, re[i] - rb[i]);
-            }
-            for (std::uint64_t s = 0; s < max_deg; ++s) {
-              std::array<std::uint64_t, 32> eidx{};
-              std::array<std::uint32_t, 32> owner{};
-              std::uint32_t cnt = 0;
-              for (std::uint32_t i = 0; i < lanes; ++i) {
-                if (rb[i] + s < re[i]) {
-                  eidx[cnt] = rb[i] + s;
-                  owner[cnt] = i;
-                  ++cnt;
-                }
-              }
-              if (cnt == 0) break;
-              std::span<const std::uint64_t> es(eidx.data(), cnt);
-              std::array<VertexId, 32> srcs{};
-              std::array<Weight, 32> ws{};
-              ctx.load(adjacency_, es, std::span<VertexId>(srcs.data(), cnt));
-              ctx.load(weights_, es, std::span<Weight>(ws.data(), cnt));
-              // Gather the in-neighbors' current distances.
-              std::array<std::uint64_t, 32> nidx{};
-              for (std::uint32_t i = 0; i < cnt; ++i) nidx[i] = srcs[i];
-              std::array<Distance, 32> dn{};
-              ctx.load(dist_, std::span<const std::uint64_t>(nidx.data(), cnt),
-                       std::span<Distance>(dn.data(), cnt));
-              ctx.alu(2, cnt);
-              work.relaxations += cnt;
-              for (std::uint32_t i = 0; i < cnt; ++i) {
-                best[owner[i]] = std::min(best[owner[i]], dn[i] + ws[i]);
-              }
-            }
+            for_each_lockstep_edge(
+                ctx, graph_, rows, lanes, [&](const LockstepStep& step) {
+                  const std::uint32_t cnt = step.count;
+                  // Gather the in-neighbors' current distances.
+                  std::array<std::uint64_t, 32> nidx{};
+                  for (std::uint32_t i = 0; i < cnt; ++i) nidx[i] = step.dst[i];
+                  std::array<Distance, 32> dn{};
+                  ctx.load(dist_,
+                           std::span<const std::uint64_t>(nidx.data(), cnt),
+                           std::span<Distance>(dn.data(), cnt));
+                  ctx.alu(2, cnt);
+                  work.relaxations += cnt;
+                  for (std::uint32_t i = 0; i < cnt; ++i) {
+                    best[step.owner[i]] =
+                        std::min(best[step.owner[i]], dn[i] + step.weight[i]);
+                  }
+                });
             // Plain (non-atomic) store of improved distances + frontier
             // membership flags.
             std::array<std::uint64_t, 32> sidx{};

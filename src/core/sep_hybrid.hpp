@@ -23,6 +23,7 @@
 #include <deque>
 #include <vector>
 
+#include "core/device_graph.hpp"
 #include "core/options.hpp"
 #include "core/recovery.hpp"
 #include "core/run_metrics.hpp"
@@ -92,9 +93,7 @@ class SepHybrid {
   // choose_mode can fall back to push on directed inputs.
   bool csr_symmetric_ = false;
 
-  gpusim::Buffer<graph::EdgeIndex> row_offsets_;
-  gpusim::Buffer<graph::VertexId> adjacency_;
-  gpusim::Buffer<graph::Weight> weights_;
+  DeviceCsrBuffers graph_;
   gpusim::Buffer<graph::Distance> dist_;
   gpusim::Buffer<graph::VertexId> queue_;
   gpusim::Buffer<std::uint32_t> queue_ctrl_;  // [0]=tail, [1]=head cursors

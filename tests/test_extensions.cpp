@@ -302,5 +302,30 @@ TEST(MultiGpu, SourceOnNonZeroDevice) {
                          sssp::dijkstra(csr, source).distances);
 }
 
+// More devices than shard-sized slices: with 4 devices on 5 vertices the
+// shard size is 2, so device 3 would start at vertex 6 > n. Trailing shards
+// must come out empty, and distances stay exact from either end.
+TEST(MultiGpu, MoreDevicesThanSlicesOnTinyPaths) {
+  for (const VertexId n : {5u, 9u}) {
+    graph::EdgeList edges;
+    edges.num_vertices = n;
+    for (VertexId v = 0; v + 1 < n; ++v) edges.add_edge(v, v + 1, 1.0 + v);
+    graph::BuildOptions build;
+    build.symmetrize = true;
+    const Csr csr = graph::build_csr(edges, build);
+    for (const int devices : {4, 8}) {
+      SCOPED_TRACE(::testing::Message() << n << " vertices, " << devices
+                                        << " devices");
+      core::MultiGpuOptions options;
+      options.num_devices = devices;
+      core::MultiGpuDeltaStepping engine(gpusim::test_device(), csr, options);
+      for (const VertexId source : {VertexId{0}, n - 1}) {
+        EXPECT_EQ(engine.run(source).gpu.sssp.distances,
+                  sssp::dijkstra(csr, source).distances);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rdbs

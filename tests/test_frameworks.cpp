@@ -156,15 +156,6 @@ TEST(GunrockOperators, FilterDedupsAndTests) {
   EXPECT_EQ(out.size(), 2u);  // duplicates removed
 }
 
-TEST(GunrockOperators, ComputeTouchesWholeFrontier) {
-  const Csr csr = paper_figure1_graph();
-  core::gunrock::Enactor enactor(gpusim::test_device(), csr);
-  core::gunrock::Frontier frontier(std::vector<VertexId>{1, 3, 5});
-  std::set<VertexId> seen;
-  enactor.compute(frontier, [&](VertexId v) { seen.insert(v); });
-  EXPECT_EQ(seen, (std::set<VertexId>{1, 3, 5}));
-}
-
 TEST(GunrockOperators, OperatorsChargeKernels) {
   const Csr csr = paper_figure1_graph();
   core::gunrock::Enactor enactor(gpusim::test_device(), csr);
