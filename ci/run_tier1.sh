@@ -75,6 +75,21 @@ if grep -rnE '"(row_offsets|adjacency|weights)"' "$ROOT/src" |
   exit 1
 fi
 
+echo "=== [tier1] engines run on the one engine frame ==="
+# Simulator setup and attempt metering live in one place: the device record
+# (core::EngineDevice, src/core/device_graph.*) applies gsan and gfi to an
+# owned simulator, and run_with_recovery (src/core/recovery.*) resets it
+# before each attempt and reads every device's clock, counters and gsan
+# report after it. Any other file under src/core/ that resets a simulator,
+# enables gsan or gfi, or reads a gsan report is growing its own copy of
+# that frame.
+if grep -rnE '(reset_all|enable_sanitizer|enable_fault_injection)[[:space:]]*\(|report[[:space:]]*\([[:space:]]*\)' \
+    "$ROOT/src/core" |
+    grep -v -e "^$ROOT/src/core/device_graph\." -e "^$ROOT/src/core/recovery\."; then
+  echo "engine frame call outside src/core/device_graph.* and recovery.*" >&2
+  exit 1
+fi
+
 run_config tier1
 
 echo "=== [tier1] perfbench build and unit tests ==="
@@ -108,6 +123,21 @@ a, b = (json.load(open(p)) for p in sys.argv[1:])
 sys.exit(a != b)' "$ROOT/BENCH_server.json" "$SERVER_JSON"; then
   diff -u "$ROOT/BENCH_server.json" "$SERVER_JSON" || true
   echo "bench/server_tail_latency output differs from BENCH_server.json" >&2
+  exit 1
+fi
+
+echo "=== [tier1] batch bench vs BENCH_batch.json ==="
+# The batch bench is deterministic too, and it is the path that runs every
+# lane on the shared form of the device record: a fresh run must reproduce
+# the committed BENCH_batch.json exactly.
+BATCH_JSON="$(mktemp)"
+trap 'rm -f "$SERVER_JSON" "$BATCH_JSON"' EXIT
+"$BUILD_ROOT/tier1/bench/batch_throughput" --json "$BATCH_JSON" > /dev/null
+if ! python3 -c 'import json, sys
+a, b = (json.load(open(p)) for p in sys.argv[1:])
+sys.exit(a != b)' "$ROOT/BENCH_batch.json" "$BATCH_JSON"; then
+  diff -u "$ROOT/BENCH_batch.json" "$BATCH_JSON" || true
+  echo "bench/batch_throughput output differs from BENCH_batch.json" >&2
   exit 1
 fi
 

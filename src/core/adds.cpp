@@ -21,100 +21,44 @@ constexpr std::uint64_t kFarTailCell[1] = {2};
 
 AddsLike::AddsLike(gpusim::DeviceSpec device, const graph::Csr& csr,
                    AddsOptions options)
-    : RecoverableEngine(csr, options.retry),
-      owned_sim_(std::make_unique<gpusim::GpuSim>(std::move(device))),
-      sim_(owned_sim_.get()),
-      options_(options) {
-  if (options_.sanitize != gpusim::SanitizeMode::kOff) {
-    sim_->enable_sanitizer(options_.sanitize);
-  }
-  if (options_.fault.enabled) sim_->enable_fault_injection(options_.fault);
-  init_device_state(nullptr);
-}
+    : AddsLike(EngineDevice(std::move(device), csr, options.sanitize,
+                            options.fault),
+               csr, options) {}
 
-AddsLike::AddsLike(gpusim::GpuSim& sim, gpusim::StreamId stream,
-                   const graph::Csr& csr, AddsOptions options,
-                   const DeviceCsrBuffers* shared_graph)
-    : RecoverableEngine(csr, options.retry),
-      sim_(&sim),
-      stream_(stream),
+AddsLike::AddsLike(EngineDevice device, const graph::Csr& csr,
+                   AddsOptions options)
+    : RecoverableEngine(std::move(device), csr, options.retry),
       options_(options) {
-  // Never *disable* here: in shared-sim mode the batch owns the setting.
-  if (options_.sanitize != gpusim::SanitizeMode::kOff) {
-    sim_->enable_sanitizer(options_.sanitize);
-  }
-  if (options_.fault.enabled) sim_->enable_fault_injection(options_.fault);
-  init_device_state(shared_graph);
-}
-
-void AddsLike::init_device_state(const DeviceCsrBuffers* shared_graph) {
   RDBS_CHECK(options_.delta > 0);
   const VertexId n = csr_.num_vertices();
   const EdgeIndex m = csr_.num_edges();
-  if (shared_graph != nullptr) {
-    graph_bufs_ = shared_graph;
-  } else {
-    owned_graph_ = std::make_unique<DeviceCsrBuffers>(
-        DeviceCsrBuffers::upload(*sim_, csr_));
-    graph_bufs_ = owned_graph_.get();
-  }
-  dist_ = sim_->alloc<Distance>("dist", n, kDeviceWord);
-  near_queue_ = sim_->alloc<VertexId>("near_queue",
-                                      std::max<std::size_t>(n, 64), kDeviceWord);
+  gpusim::GpuSim& sim = this->sim();
+  dist_ = sim.alloc<Distance>("dist", n, kDeviceWord);
+  near_queue_ = sim.alloc<VertexId>("near_queue",
+                                    std::max<std::size_t>(n, 64), kDeviceWord);
   // The Far pile admits duplicates (lazy deletion at split time).
-  far_pile_ = sim_->alloc<VertexId>("far_pile",
-                                    std::max<std::size_t>(2 * m + 64, 64),
-                                    kDeviceWord);
-  queue_ctrl_ = sim_->alloc<std::uint32_t>("queue_ctrl", 3, kDeviceWord);
-  sim_->mark_initialized(queue_ctrl_);
-  in_near_ = sim_->alloc<std::uint8_t>("in_near", n, 1);
-  ctx_.attach(*sim_, stream_);
+  far_pile_ = sim.alloc<VertexId>("far_pile",
+                                  std::max<std::size_t>(2 * m + 64, 64),
+                                  kDeviceWord);
+  queue_ctrl_ = sim.alloc<std::uint32_t>("queue_ctrl", 3, kDeviceWord);
+  sim.mark_initialized(queue_ctrl_);
+  in_near_ = sim.alloc<std::uint8_t>("in_near", n, 1);
   ctx_.set_warm_start(options_.warm_start);
-}
-
-void AddsLike::init_distances_kernel(VertexId source) {
-  const VertexId n = csr_.num_vertices();
-  fill_kernel(*sim_, "init_distances", n, stream_,
-              Fill{dist_, graph::kInfiniteDistance},
-              Fill{in_near_, std::uint8_t{0}});
-  sim_->label_next_launch("seed_source");
-  sim_->run_kernel(gpusim::Schedule::kStatic, 1, 1,
-                  [&](gpusim::WarpCtx& ctx, std::uint64_t) {
-                    ctx.store_one(dist_, source, Distance{0});
-                  },
-                  /*host_launch=*/true, stream_);
 }
 
 GpuRunResult AddsLike::attempt(VertexId source, AttemptContext& query) {
   // Stale poison from a discarded attempt must not suppress this attempt's
   // checkpoints — the buffer is re-initialized below (see GpuDeltaStepping).
-  sim_->clear_buffer_poison(dist_);
-  if (owned_sim_) sim_->reset_all();
-  const double ms_before = sim_->stream_elapsed_ms(stream_);
-  const double wait_before = sim_->stream_queue_wait_ms(stream_);
-  const gpusim::Counters counters_before = sim_->counters();
+  sim().clear_buffer_poison(dist_);
   work_ = sssp::WorkStats{};
-  std::fill(in_near_.data().begin(), in_near_.data().end(), 0);
 
   GpuRunResult result;
-  init_distances_kernel(source);
-
-  // Warm start (docs/serving.md "Result cache"): caller-provided upper
-  // bounds overwrite the infinite tentative distances — one H2D upload of
-  // the finite bounds; the source keeps its exact 0. Near-Far is
-  // label-correcting, so valid upper bounds preserve exactness.
-  std::uint64_t warm_seeded = 0;
-  if (const std::vector<Distance>* warm = query.upper_bounds()) {
-    const std::vector<Distance>& bounds = *warm;
-    RDBS_CHECK_MSG(bounds.size() == csr_.num_vertices(),
-                   "warm_start bounds must cover every vertex");
-    for (VertexId v = 0; v < csr_.num_vertices(); ++v) {
-      if (v == source || bounds[v] == graph::kInfiniteDistance) continue;
-      dist_[v] = bounds[v];
-      ++warm_seeded;
-    }
-    if (warm_seeded > 0) sim_->memcpy_h2d(warm_seeded * kDeviceWord, stream_);
-  }
+  fill_kernel(device_, "init_distances", csr_.num_vertices(),
+              Fill{dist_, graph::kInfiniteDistance},
+              Fill{in_near_, std::uint8_t{0}});
+  seed_kernel(device_, source, Fill{dist_, Distance{0}});
+  const std::uint64_t warm_seeded =
+      seed_upper_bounds(device_, dist_, source, query.upper_bounds());
 
   // Host seed modeled as an H2D upload of the claimed ring slots + flags.
   // Warm-seeded vertices below the first threshold join the Near seed;
@@ -137,7 +81,7 @@ GpuRunResult AddsLike::attempt(VertexId source, AttemptContext& query) {
         near.push_back(v);
         near_queue_[near_tail % near_queue_.size()] = v;
         ++near_tail;
-        sim_->mark_initialized(in_near_, v, 1);
+        sim().mark_initialized(in_near_, v, 1);
       } else {
         far.push_back(v);
         far_pile_[far_tail % far_pile_.size()] = v;
@@ -145,17 +89,17 @@ GpuRunResult AddsLike::attempt(VertexId source, AttemptContext& query) {
       }
     }
     if (far_tail > 0) {
-      sim_->mark_initialized(
+      sim().mark_initialized(
           far_pile_, 0,
           static_cast<std::size_t>(
               std::min<std::uint64_t>(far_tail, far_pile_.size())));
     }
   }
-  sim_->mark_initialized(
+  sim().mark_initialized(
       near_queue_, 0,
       static_cast<std::size_t>(
           std::min<std::uint64_t>(near_tail, near_queue_.size())));
-  sim_->mark_initialized(in_near_, source, 1);
+  sim().mark_initialized(in_near_, source, 1);
 
   // Warp-aggregated pile append: one tail atomic for the warp on the
   // control cell, an atomicExch per near flag, and a volatile (st.cg) store
@@ -188,7 +132,7 @@ GpuRunResult AddsLike::attempt(VertexId source, AttemptContext& query) {
   };
 
   while (!near.empty() || !far.empty()) {
-    if (sim_->device_lost()) break;  // attempt is void; recovery takes over
+    if (sim().device_lost()) break;  // attempt is void; recovery takes over
     // Round boundary (a near drain or a far split is one launch): the
     // Near-Far cancellation point.
     if (query.cancelled()) break;
@@ -200,9 +144,9 @@ GpuRunResult AddsLike::attempt(VertexId source, AttemptContext& query) {
       // The live entries occupy the last far.size() pile slots (every push
       // went through charge_push, so pushes and slots are in lockstep).
       const std::uint64_t pile_base = far_tail - far.size();
-      sim_->label_next_launch("far_split");
-      gpusim::KernelScope split(*sim_, gpusim::Schedule::kStatic, true,
-                                /*warps_per_block=*/8, stream_);
+      sim().label_next_launch("far_split");
+      gpusim::KernelScope split(sim(), gpusim::Schedule::kStatic, true,
+                                /*warps_per_block=*/8, stream());
       for (std::size_t base = 0; base < far.size(); base += 32) {
         const auto cnt = static_cast<std::uint32_t>(
             std::min<std::size_t>(32, far.size() - base));
@@ -289,9 +233,9 @@ GpuRunResult AddsLike::attempt(VertexId source, AttemptContext& query) {
     // --- Near processing: one persistent asynchronous kernel that drains
     // the Near pile, thread-per-vertex, relaxing ALL edges of each vertex
     // (no light/heavy split in ADDS's data layout).
-    sim_->label_next_launch("near_relax");
-    gpusim::KernelScope kernel(*sim_, gpusim::Schedule::kDynamic, true,
-                               /*warps_per_block=*/8, stream_);
+    sim().label_next_launch("near_relax");
+    gpusim::KernelScope kernel(sim(), gpusim::Schedule::kDynamic, true,
+                               /*warps_per_block=*/8, stream());
     while (!near.empty()) {
       std::array<VertexId, 32> lanes{};
       std::uint32_t lane_count = 0;
@@ -327,13 +271,13 @@ GpuRunResult AddsLike::attempt(VertexId source, AttemptContext& query) {
 
       std::array<Distance, 32> dist_u{};
       ctx.load(dist_, vspan, std::span<Distance>(dist_u.data(), lane_count));
-      const RowBounds rows = load_row_bounds(ctx, *graph_bufs_, vspan);
+      const RowBounds rows = load_row_bounds(ctx, graph(), vspan);
       ctx.alu(2, lane_count);
 
       // Thread-per-vertex: the warp runs until its highest-degree lane is
       // done — ADDS's Achilles heel on hub-dominated graphs.
       for_each_lockstep_edge(
-          ctx, *graph_bufs_, rows, lane_count, [&](const LockstepStep& step) {
+          ctx, graph(), rows, lane_count, [&](const LockstepStep& step) {
             const std::uint32_t active = step.count;
             ctx.alu(2, active);
             work_.relaxations += active;
@@ -383,22 +327,8 @@ GpuRunResult AddsLike::attempt(VertexId source, AttemptContext& query) {
     query.checkpoint_boundary(dist_, options_.checkpoint_interval);
   }
 
+  result.sssp.distances = dist_.data();
   result.sssp.work = work_;
-  if (query.cancelled()) {
-    // Over deadline: partial metrics only, never partially relaxed
-    // distances (the serving contract; docs/serving.md).
-    result.ok = false;
-    result.deadline_exceeded = true;
-  } else {
-    result.sssp.distances = dist_.data();
-    sssp::finalize_valid_updates(result.sssp, source);
-  }
-  result.device_ms = sim_->stream_elapsed_ms(stream_) - ms_before;
-  result.queue_wait_ms = sim_->stream_queue_wait_ms(stream_) - wait_before;
-  result.counters = sim_->counters() - counters_before;
-  if (const gpusim::Sanitizer* san = sim_->sanitizer()) {
-    result.sanitizer_report = san->report();
-  }
   return result;
 }
 

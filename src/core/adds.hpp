@@ -14,7 +14,6 @@
 #pragma once
 
 #include <deque>
-#include <memory>
 
 #include "core/device_graph.hpp"
 #include "core/options.hpp"
@@ -27,7 +26,6 @@ namespace rdbs::core {
 
 struct AddsOptions {
   graph::Weight delta = 100.0;  // Near/Far threshold increment
-  bool instrument = false;
   // gsan hazard analysis over every launch (docs/sanitizer.md).
   gpusim::SanitizeMode sanitize = gpusim::SanitizeMode::kOff;
   // Deterministic fault injection + recovery (gfi; docs/fault_injection.md).
@@ -44,24 +42,16 @@ struct AddsOptions {
 
 class AddsLike : public RecoverableEngine {
  public:
+  // Runs on its own simulator, with options.sanitize and options.fault.
   AddsLike(gpusim::DeviceSpec device, const graph::Csr& csr,
            AddsOptions options);
-
-  // Shared-simulator variant for batched queries: kernels go to `stream` of
-  // an externally owned simulator (never reset by the engine; metrics are
-  // per-query deltas). With `shared_graph` set, the device CSR arrays are
-  // reused instead of uploaded again. See GpuDeltaStepping for the pattern.
-  AddsLike(gpusim::GpuSim& sim, gpusim::StreamId stream,
-           const graph::Csr& csr, AddsOptions options,
-           const DeviceCsrBuffers* shared_graph = nullptr);
+  // Runs on `device` (e.g. a batch lane); see GpuDeltaStepping.
+  AddsLike(EngineDevice device, const graph::Csr& csr, AddsOptions options);
 
   // run(source) (RecoverableEngine) polls the context()'s cancel token at
   // every near/far round boundary, seeds every attempt from its warm or
   // resume bounds, and with options.checkpoint_interval set snapshots the
   // distances every N round boundaries (see GpuDeltaStepping).
-
-  gpusim::GpuSim& sim() { return *sim_; }
-  gpusim::StreamId stream() const { return stream_; }
 
  private:
   // One recovery attempt: the full Near-Far run, re-initializing all
@@ -69,16 +59,8 @@ class AddsLike : public RecoverableEngine {
   GpuRunResult attempt(graph::VertexId source,
                        AttemptContext& query) override;
 
-  void init_device_state(const DeviceCsrBuffers* shared_graph);
-  void init_distances_kernel(graph::VertexId source);
-
-  std::unique_ptr<gpusim::GpuSim> owned_sim_;  // null in shared-sim mode
-  gpusim::GpuSim* sim_;                        // never null
-  gpusim::StreamId stream_ = 0;
   AddsOptions options_;
 
-  std::unique_ptr<DeviceCsrBuffers> owned_graph_;
-  const DeviceCsrBuffers* graph_bufs_ = nullptr;  // never null after ctor
   gpusim::Buffer<graph::Distance> dist_;
   gpusim::Buffer<graph::VertexId> near_queue_;
   gpusim::Buffer<graph::VertexId> far_pile_;

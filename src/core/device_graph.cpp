@@ -1,5 +1,7 @@
 #include "core/device_graph.hpp"
 
+#include "common/macros.hpp"
+
 namespace rdbs::core {
 
 using graph::EdgeIndex;
@@ -43,6 +45,61 @@ DeviceCsrBuffers upload_rows(gpusim::GpuSim& sim, const graph::Csr& csr,
 }
 
 }  // namespace
+
+EngineDevice::EngineDevice(gpusim::DeviceSpec spec,
+                           gpusim::SanitizeMode sanitize,
+                           const gpusim::FaultConfig& fault)
+    : owned_sim_(std::make_unique<gpusim::GpuSim>(std::move(spec))),
+      sim_(owned_sim_.get()) {
+  if (sanitize != gpusim::SanitizeMode::kOff) sim_->enable_sanitizer(sanitize);
+  if (fault.enabled) sim_->enable_fault_injection(fault);
+}
+
+EngineDevice::EngineDevice(gpusim::DeviceSpec spec, const graph::Csr& csr,
+                           gpusim::SanitizeMode sanitize,
+                           const gpusim::FaultConfig& fault)
+    : EngineDevice(std::move(spec), sanitize, fault) {
+  owned_graph_ = std::make_unique<const DeviceCsrBuffers>(
+      DeviceCsrBuffers::upload(*sim_, csr));
+  graph_ = owned_graph_.get();
+}
+
+EngineDevice::EngineDevice(gpusim::DeviceSpec spec, const graph::Csr& csr,
+                           VertexId first, VertexId last,
+                           gpusim::SanitizeMode sanitize,
+                           const gpusim::FaultConfig& fault)
+    : EngineDevice(std::move(spec), sanitize, fault) {
+  owned_graph_ = std::make_unique<const DeviceCsrBuffers>(
+      DeviceCsrBuffers::upload(*sim_, csr, first, last));
+  graph_ = owned_graph_.get();
+}
+
+EngineDevice EngineDevice::lane(gpusim::StreamId stream) const {
+  EngineDevice shared;
+  shared.sim_ = sim_;
+  shared.graph_ = graph_;
+  shared.stream_ = stream;
+  return shared;
+}
+
+std::uint64_t seed_upper_bounds(const EngineDevice& device,
+                                gpusim::Buffer<graph::Distance>& dist,
+                                VertexId source,
+                                const std::vector<graph::Distance>* bounds) {
+  if (bounds == nullptr) return 0;
+  RDBS_CHECK_MSG(bounds->size() == dist.size(),
+                 "warm_start bounds must cover every vertex");
+  std::uint64_t seeded = 0;
+  for (VertexId v = 0; v < bounds->size(); ++v) {
+    if (v == source || (*bounds)[v] == graph::kInfiniteDistance) continue;
+    dist[v] = (*bounds)[v];
+    ++seeded;
+  }
+  if (seeded > 0) {
+    device.sim().memcpy_h2d(seeded * kDeviceWord, device.stream());
+  }
+  return seeded;
+}
 
 DeviceCsrBuffers DeviceCsrBuffers::upload(gpusim::GpuSim& sim,
                                           const graph::Csr& csr) {

@@ -1,5 +1,5 @@
-// Device-resident CSR arrays and the warp building blocks every GPU engine
-// shares.
+// The device record every GPU engine runs on, its device-resident CSR
+// arrays, and the warp building blocks every engine shares.
 //
 // The graph topology (row offsets, adjacency, weights) is immutable during
 // SSSP, so one uploaded copy can back any number of engines running on the
@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string_view>
 #include <type_traits>
@@ -47,7 +48,49 @@ struct DeviceCsrBuffers {
                                  graph::VertexId first, graph::VertexId last);
 };
 
-// One buffer of a fill kernel and the value stored into every element.
+// The device an engine attempt runs on, in one of two forms:
+//  * owned: a fresh simulator with the graph uploaded (optionally only the
+//    rows of a MultiGpu shard). Only this form applies the gsan and gfi
+//    settings, and run_with_recovery resets it before every attempt (the
+//    paper's single-query methodology);
+//  * shared: one stream of another record's simulator, reading that
+//    record's CSR (the batch lanes' "shared caching"). It is never reset;
+//    its attempts are metered as deltas of its stream.
+// Either way it is the unit AttemptContext::attach meters.
+class EngineDevice {
+ public:
+  EngineDevice(gpusim::DeviceSpec spec, const graph::Csr& csr,
+               gpusim::SanitizeMode sanitize = gpusim::SanitizeMode::kOff,
+               const gpusim::FaultConfig& fault = {});
+  // Uploads only the rows of vertices [first, last) (see
+  // DeviceCsrBuffers::upload).
+  EngineDevice(gpusim::DeviceSpec spec, const graph::Csr& csr,
+               graph::VertexId first, graph::VertexId last,
+               gpusim::SanitizeMode sanitize,
+               const gpusim::FaultConfig& fault);
+
+  // The shared form on `stream` of this record's simulator, which must
+  // outlive it.
+  EngineDevice lane(gpusim::StreamId stream) const;
+
+  gpusim::GpuSim& sim() const { return *sim_; }
+  gpusim::StreamId stream() const { return stream_; }
+  const DeviceCsrBuffers& graph() const { return *graph_; }
+  bool owned() const { return owned_sim_ != nullptr; }
+
+ private:
+  EngineDevice(gpusim::DeviceSpec spec, gpusim::SanitizeMode sanitize,
+               const gpusim::FaultConfig& fault);
+  EngineDevice() = default;
+
+  std::unique_ptr<gpusim::GpuSim> owned_sim_;             // owned form only
+  std::unique_ptr<const DeviceCsrBuffers> owned_graph_;  // owned form only
+  gpusim::GpuSim* sim_ = nullptr;
+  const DeviceCsrBuffers* graph_ = nullptr;
+  gpusim::StreamId stream_ = 0;
+};
+
+// A buffer and the value a fill or seed kernel stores into it.
 template <typename T>
 struct Fill {
   gpusim::Buffer<T>& buffer;
@@ -67,15 +110,14 @@ void store_fill(gpusim::WarpCtx& ctx, std::span<const std::uint64_t> lanes,
 }
 }  // namespace detail
 
-// Vertex-parallel initialization kernel: one static-schedule warp per 32
-// consecutive indices of [0, count) (8 warps per block), each issuing one
-// coalesced store per buffer, in argument order.
+// Vertex-parallel initialization kernel on the device's stream: one
+// static-schedule warp per 32 consecutive indices of [0, count) (8 warps per
+// block), each issuing one coalesced store per buffer, in argument order.
 template <typename... T>
-void fill_kernel(gpusim::GpuSim& sim, std::string_view label,
-                 std::uint64_t count, gpusim::StreamId stream,
-                 Fill<T>... fills) {
-  sim.label_next_launch(label);
-  sim.run_kernel(
+void fill_kernel(const EngineDevice& device, std::string_view label,
+                 std::uint64_t count, Fill<T>... fills) {
+  device.sim().label_next_launch(label);
+  device.sim().run_kernel(
       gpusim::Schedule::kStatic, (count + 31) / 32, /*warps_per_block=*/8,
       [&](gpusim::WarpCtx& ctx, std::uint64_t w) {
         const std::uint64_t begin = w * 32;
@@ -86,8 +128,32 @@ void fill_kernel(gpusim::GpuSim& sim, std::string_view label,
         const std::span<const std::uint64_t> is(idx.data(), lanes);
         (detail::store_fill(ctx, is, fills), ...);
       },
-      /*host_launch=*/true, stream);
+      /*host_launch=*/true, device.stream());
 }
+
+// The one-thread "seed_source" kernel on the device's stream: stores each
+// fill's value at `index`, in argument order.
+template <typename... T>
+void seed_kernel(const EngineDevice& device, std::uint64_t index,
+                 Fill<T>... fills) {
+  device.sim().label_next_launch("seed_source");
+  device.sim().run_kernel(
+      gpusim::Schedule::kStatic, 1, 1,
+      [&](gpusim::WarpCtx& ctx, std::uint64_t) {
+        (ctx.store_one(fills.buffer, index, fills.value), ...);
+      },
+      /*host_launch=*/true, device.stream());
+}
+
+// Warm start (docs/serving.md "Result cache"): overwrites the tentative
+// distances with the finite entries of `bounds` (one per vertex, engine
+// numbering; null = none) and charges one H2D copy of them. The source
+// keeps its exact 0. Exact for any label-correcting engine: relaxations
+// only ever improve on a valid upper bound. Returns the vertices seeded.
+std::uint64_t seed_upper_bounds(const EngineDevice& device,
+                                gpusim::Buffer<graph::Distance>& dist,
+                                graph::VertexId source,
+                                const std::vector<graph::Distance>* bounds);
 
 // CSR row ranges [begin, end) of up to 32 lanes.
 struct RowBounds {

@@ -18,35 +18,14 @@ constexpr std::uint64_t kHeadCell[1] = {1};
 
 GpuDeltaStepping::GpuDeltaStepping(gpusim::DeviceSpec device, const Csr& csr,
                                    GpuSsspOptions options)
-    : RecoverableEngine(csr, options.retry),
-      owned_sim_(std::make_unique<gpusim::GpuSim>(std::move(device))),
-      sim_(owned_sim_.get()),
-      options_(options) {
-  if (options_.sanitize != gpusim::SanitizeMode::kOff) {
-    sim_->enable_sanitizer(options_.sanitize);
-  }
-  if (options_.fault.enabled) sim_->enable_fault_injection(options_.fault);
-  init_device_state(nullptr);
-}
+    : GpuDeltaStepping(EngineDevice(std::move(device), csr, options.sanitize,
+                                    options.fault),
+                       csr, options) {}
 
-GpuDeltaStepping::GpuDeltaStepping(gpusim::GpuSim& sim,
-                                   gpusim::StreamId stream, const Csr& csr,
-                                   GpuSsspOptions options,
-                                   const DeviceCsrBuffers* shared_graph)
-    : RecoverableEngine(csr, options.retry),
-      sim_(&sim),
-      stream_(stream),
+GpuDeltaStepping::GpuDeltaStepping(EngineDevice device, const Csr& csr,
+                                   GpuSsspOptions options)
+    : RecoverableEngine(std::move(device), csr, options.retry),
       options_(options) {
-  // Never *disable* here: in shared-sim mode the batch owns the sanitizer
-  // and fault-injection settings and may have enabled them for all lanes.
-  if (options_.sanitize != gpusim::SanitizeMode::kOff) {
-    sim_->enable_sanitizer(options_.sanitize);
-  }
-  if (options_.fault.enabled) sim_->enable_fault_injection(options_.fault);
-  init_device_state(shared_graph);
-}
-
-void GpuDeltaStepping::init_device_state(const DeviceCsrBuffers* shared_graph) {
   if (options_.pro) {
     RDBS_CHECK_MSG(csr_.weights_sorted_per_vertex(),
                    "PRO requires weight-sorted adjacency "
@@ -55,47 +34,25 @@ void GpuDeltaStepping::init_device_state(const DeviceCsrBuffers* shared_graph) {
                    "PRO requires heavy offsets attached to the CSR");
   }
   const VertexId n = csr_.num_vertices();
-  if (shared_graph != nullptr) {
-    graph_bufs_ = shared_graph;
-  } else {
-    owned_graph_ = std::make_unique<DeviceCsrBuffers>(
-        DeviceCsrBuffers::upload(*sim_, csr_));
-    graph_bufs_ = owned_graph_.get();
-  }
+  gpusim::GpuSim& sim = this->sim();
   if (options_.pro) {
     // Per-engine mirror (not shared): phase-1 offset maintenance stores
     // query-specific values when Δ is readjusted.
-    heavy_offsets_ = sim_->alloc<EdgeIndex>("heavy_offsets", n, kDeviceWord);
+    heavy_offsets_ = sim.alloc<EdgeIndex>("heavy_offsets", n, kDeviceWord);
     std::copy(csr_.heavy_offsets().begin(), csr_.heavy_offsets().end(),
               heavy_offsets_.data().begin());
-    sim_->mark_initialized(heavy_offsets_);  // H2D upload
+    sim.mark_initialized(heavy_offsets_);  // H2D upload
   }
-  dist_ = sim_->alloc<Distance>("dist", n, kDeviceWord);
-  queue_ = sim_->alloc<VertexId>("queue", std::max<std::size_t>(n, 64),
-                                 kDeviceWord);
+  dist_ = sim.alloc<Distance>("dist", n, kDeviceWord);
+  queue_ = sim.alloc<VertexId>("queue", std::max<std::size_t>(n, 64),
+                               kDeviceWord);
   // Queue cursors ([0]=tail, [1]=head), claimed with warp-aggregated
   // atomics. Host-initialized at upload time (cudaMemset).
-  queue_ctrl_ = sim_->alloc<std::uint32_t>("queue_ctrl", 2, kDeviceWord);
-  sim_->mark_initialized(queue_ctrl_);
-  in_queue_ = sim_->alloc<std::uint8_t>("in_queue", n, 1);
+  queue_ctrl_ = sim.alloc<std::uint32_t>("queue_ctrl", 2, kDeviceWord);
+  sim.mark_initialized(queue_ctrl_);
+  in_queue_ = sim.alloc<std::uint8_t>("in_queue", n, 1);
   epoch_.assign(n, ~0ull);
-  ctx_.attach(*sim_, stream_);
   ctx_.set_warm_start(options_.warm_start);
-}
-
-void GpuDeltaStepping::init_distances_kernel(VertexId source) {
-  const VertexId n = csr_.num_vertices();
-  // One coalesced store of 32 distances (and queue-flag clears) per warp.
-  fill_kernel(*sim_, "init_distances", n, stream_,
-              Fill{dist_, graph::kInfiniteDistance},
-              Fill{in_queue_, std::uint8_t{0}});
-  // Tiny kernel: dist[source] = 0.
-  sim_->label_next_launch("seed_source");
-  sim_->run_kernel(gpusim::Schedule::kStatic, 1, 1,
-                  [&](gpusim::WarpCtx& ctx, std::uint64_t) {
-                    ctx.store_one(dist_, source, Distance{0});
-                  },
-                  /*host_launch=*/true, stream_);
 }
 
 EdgeIndex GpuDeltaStepping::light_end(VertexId v, Weight delta) const {
@@ -129,25 +86,6 @@ void GpuDeltaStepping::charge_enqueue(gpusim::WarpCtx& ctx,
                      /*is_store=*/true);
 }
 
-void GpuDeltaStepping::apply_warm_start(VertexId source,
-                                        const std::vector<Distance>* bounds) {
-  // Warm start (docs/serving.md "Result cache"): caller-provided upper
-  // bounds overwrite the infinite tentative distances — one H2D upload of
-  // the finite bounds. The source keeps its exact 0 (its "bound" is always
-  // >= 0). Exactness: Δ-stepping is label-correcting, so relaxations only
-  // ever improve on a valid upper bound, never trust it.
-  if (bounds == nullptr) return;
-  RDBS_CHECK_MSG(bounds->size() == csr_.num_vertices(),
-                 "warm_start bounds must cover every vertex");
-  std::uint64_t seeded = 0;
-  for (VertexId v = 0; v < csr_.num_vertices(); ++v) {
-    if (v == source || (*bounds)[v] == graph::kInfiniteDistance) continue;
-    dist_[v] = (*bounds)[v];
-    ++seeded;
-  }
-  if (seeded > 0) sim_->memcpy_h2d(seeded * kDeviceWord, stream_);
-}
-
 void GpuDeltaStepping::seed_queue(VertexId source, Weight hi, bool warm) {
   // The host seeds the ring with the source vertex — modeled as an H2D
   // upload (the claimed slots plus the in-queue flags), so the cursors and
@@ -156,7 +94,7 @@ void GpuDeltaStepping::seed_queue(VertexId source, Weight hi, bool warm) {
   in_queue_[source] = 1;
   queue_[0] = source;
   queue_tail_ = 1;
-  sim_->mark_initialized(in_queue_, source, 1);
+  sim().mark_initialized(in_queue_, source, 1);
   // Warm start: vertices seeded inside the initial window join the seed
   // frontier here. Later windows are collected by the phase-2/3 scan over
   // the live distances, but nothing scans ahead of the first window.
@@ -168,10 +106,10 @@ void GpuDeltaStepping::seed_queue(VertexId source, Weight hi, bool warm) {
       queue_[queue_tail_ % queue_.size()] = v;
       ++queue_tail_;
       vqueue_.push_back(v);
-      sim_->mark_initialized(in_queue_, v, 1);
+      sim().mark_initialized(in_queue_, v, 1);
     }
   }
-  sim_->mark_initialized(
+  sim().mark_initialized(
       queue_, 0,
       static_cast<std::size_t>(
           std::min<std::uint64_t>(queue_tail_, queue_.size())));
@@ -233,7 +171,7 @@ void GpuDeltaStepping::parent_warp(gpusim::WarpCtx& ctx,
   std::array<Distance, 32> dist_u{};
   ctx.load(dist_, vspan, std::span<Distance>(dist_u.data(), lane_count));
 
-  RowBounds rows = load_row_bounds(ctx, *graph_bufs_, vspan);
+  RowBounds rows = load_row_bounds(ctx, graph(), vspan);
 
   // Light-range split per lane.
   std::array<std::uint64_t, 32> lend{};
@@ -273,8 +211,8 @@ void GpuDeltaStepping::parent_warp(gpusim::WarpCtx& ctx,
                        : std::min<std::uint64_t>(lend[i], rows.end[i] - 1);
       }
       std::array<Weight, 32> wtmp{};
-      if (graph_bufs_->weights.size() != 0) {
-        ctx.load(graph_bufs_->weights,
+      if (graph().weights.size() != 0) {
+        ctx.load(graph().weights,
                  std::span<const std::uint64_t>(probe.data(), lane_count),
                  std::span<Weight>(wtmp.data(), lane_count));
       }
@@ -311,7 +249,7 @@ void GpuDeltaStepping::parent_warp(gpusim::WarpCtx& ctx,
 
   // Inline (thread-per-vertex) edge loop: warp pays for its slowest lane.
   for_each_lockstep_edge(
-      ctx, *graph_bufs_, rows, lane_count, [&](const LockstepStep& step) {
+      ctx, graph(), rows, lane_count, [&](const LockstepStep& step) {
         const std::uint32_t active = step.count;
         // Without PRO every edge pays the light/heavy branch and heavy
         // lanes sit idle for the rest of the step (divergence).
@@ -365,7 +303,7 @@ void GpuDeltaStepping::child_warp(gpusim::WarpCtx& ctx,
   // The chunk's 32 consecutive edges load fully coalesced.
   const Distance dist_u = ctx.load_one(dist_, chunk.vertex);
   const EdgeLanes edges =
-      load_edge_chunk(ctx, *graph_bufs_, chunk.begin, count);
+      load_edge_chunk(ctx, graph(), chunk.begin, count);
   ctx.alu(2, count);
 
   // Chunks lie entirely in the light range with PRO; otherwise each lane
@@ -406,10 +344,10 @@ void GpuDeltaStepping::phase1_async(Weight lo, Weight hi, Weight delta,
   // One persistent kernel per bucket: manager threads feed worker warps
   // from the workload lists; updates are immediately visible and newly
   // activated vertices are processed in the same launch.
-  sim_->label_next_launch("phase1_async");
-  gpusim::KernelScope kernel(*sim_, gpusim::Schedule::kDynamic,
+  sim().label_next_launch("phase1_async");
+  gpusim::KernelScope kernel(sim(), gpusim::Schedule::kDynamic,
                              /*host_launch=*/true, /*warps_per_block=*/8,
-                             stream_);
+                             stream());
   std::vector<EdgeChunk> children;
   std::vector<VertexId> lanes;
   while (!vqueue_.empty()) {
@@ -449,11 +387,11 @@ void GpuDeltaStepping::phase1_sync(Weight lo, Weight hi, Weight delta,
     vqueue_.clear();
     // Functional note: the in_queue flags of frontier members stay set
     // until their parent warp pops them inside the kernel.
-    sim_->label_next_launch("phase1_sync");
+    sim().label_next_launch("phase1_sync");
     gpusim::KernelScope kernel(
-        *sim_, options_.adwl ? gpusim::Schedule::kDynamic
+        sim(), options_.adwl ? gpusim::Schedule::kDynamic
                              : gpusim::Schedule::kStatic,
-        /*host_launch=*/true, /*warps_per_block=*/8, stream_);
+        /*host_launch=*/true, /*warps_per_block=*/8, stream());
     std::vector<EdgeChunk> children;
     std::vector<VertexId> lanes;
     for (std::size_t i = 0; i < frontier.size(); i += 32) {
@@ -472,7 +410,7 @@ void GpuDeltaStepping::phase1_sync(Weight lo, Weight hi, Weight delta,
       kernel.commit(cctx);
     }
     kernel.finish();
-    sim_->host_barrier(stream_);
+    sim().host_barrier(stream());
     ++stats.phase1_iterations;
     ++work_.iterations;
   }
@@ -514,7 +452,8 @@ GpuDeltaStepping::ScanOutcome GpuDeltaStepping::phase23(
     if (cnt == 0) return;
     ctx.alu(2, cnt);
     std::array<EdgeIndex, 32> tmp{};
-    ctx.load(graph_bufs_->row_offsets, std::span<const std::uint64_t>(idx.data(), cnt),
+    ctx.load(graph().row_offsets,
+             std::span<const std::uint64_t>(idx.data(), cnt),
              std::span<EdgeIndex>(tmp.data(), cnt));
     if (options_.pro) {
       ctx.load(heavy_offsets_, std::span<const std::uint64_t>(idx.data(), cnt),
@@ -531,7 +470,7 @@ GpuDeltaStepping::ScanOutcome GpuDeltaStepping::phase23(
       eidx[i] = heavy_edges[base + i].first;
     }
     EdgeLanes edges;
-    load_edges(ctx, *graph_bufs_,
+    load_edges(ctx, graph(),
                std::span<const std::uint64_t>(eidx.data(), cnt), edges);
     if (!options_.pro) ctx.alu(1, cnt);  // heavy test branch
 
@@ -611,9 +550,9 @@ GpuDeltaStepping::ScanOutcome GpuDeltaStepping::phase23(
 
   const bool fused = options_.adwl;  // kernel fusion rides with ADWL (§4.2)
   if (fused) {
-    sim_->label_next_launch("phase23_fused");
-    gpusim::KernelScope kernel(*sim_, gpusim::Schedule::kStatic, true,
-                               /*warps_per_block=*/8, stream_);
+    sim().label_next_launch("phase23_fused");
+    gpusim::KernelScope kernel(sim(), gpusim::Schedule::kStatic, true,
+                               /*warps_per_block=*/8, stream());
     for (std::uint64_t w = 0; w < warps; ++w) {
       auto ctx = kernel.make_warp();
       std::array<Distance, 32> dist_vals{};
@@ -626,9 +565,9 @@ GpuDeltaStepping::ScanOutcome GpuDeltaStepping::phase23(
     kernel.finish();
   } else {
     if (relax_heavy) {
-      sim_->label_next_launch("phase2");
-      gpusim::KernelScope phase2(*sim_, gpusim::Schedule::kStatic, true,
-                                 /*warps_per_block=*/8, stream_);
+      sim().label_next_launch("phase2");
+      gpusim::KernelScope phase2(sim(), gpusim::Schedule::kStatic, true,
+                                 /*warps_per_block=*/8, stream());
       for (std::uint64_t w = 0; w < warps; ++w) {
         auto ctx = phase2.make_warp();
         std::array<Distance, 32> dist_vals{};
@@ -638,11 +577,11 @@ GpuDeltaStepping::ScanOutcome GpuDeltaStepping::phase23(
       }
       process_heavy_chunks(phase2);
       phase2.finish();
-      sim_->host_barrier(stream_);
+      sim().host_barrier(stream());
     }
-    sim_->label_next_launch("phase3");
-    gpusim::KernelScope phase3(*sim_, gpusim::Schedule::kStatic, true,
-                               /*warps_per_block=*/8, stream_);
+    sim().label_next_launch("phase3");
+    gpusim::KernelScope phase3(sim(), gpusim::Schedule::kStatic, true,
+                               /*warps_per_block=*/8, stream());
     for (std::uint64_t w = 0; w < warps; ++w) {
       auto ctx = phase3.make_warp();
       std::array<Distance, 32> dist_vals{};
@@ -651,7 +590,7 @@ GpuDeltaStepping::ScanOutcome GpuDeltaStepping::phase23(
       phase3.commit(ctx);
     }
     phase3.finish();
-    sim_->host_barrier(stream_);
+    sim().host_barrier(stream());
   }
 
   // Final reduction (remaining count / minimum unsettled distance) over the
@@ -675,25 +614,21 @@ GpuRunResult GpuDeltaStepping::attempt(VertexId source,
   // (recovery's bulk clear only fires when read-only data was also hit);
   // this attempt re-initializes the buffer, so the stale mark must not
   // suppress its checkpoints.
-  sim_->clear_buffer_poison(dist_);
-  // Owning mode: fresh timeline/counters/caches per run (the paper's
-  // single-query methodology). Shared mode: the simulator belongs to the
-  // batch — time and cache state accumulate across queries, and this run's
-  // metrics are reported as deltas of its stream.
-  if (owned_sim_) sim_->reset_all();
-  const double ms_before = sim_->stream_elapsed_ms(stream_);
-  const double wait_before = sim_->stream_queue_wait_ms(stream_);
-  const gpusim::Counters counters_before = sim_->counters();
+  sim().clear_buffer_poison(dist_);
   work_ = sssp::WorkStats{};
   vqueue_.clear();
   queue_tail_ = 0;
   queue_head_ = 0;
-  std::fill(in_queue_.data().begin(), in_queue_.data().end(), 0);
 
   GpuRunResult result;
-  init_distances_kernel(source);
+  // One coalesced store of 32 distances (and queue-flag clears) per warp,
+  // then dist[source] = 0.
+  fill_kernel(device_, "init_distances", csr_.num_vertices(),
+              Fill{dist_, graph::kInfiniteDistance},
+              Fill{in_queue_, std::uint8_t{0}});
+  seed_kernel(device_, source, Fill{dist_, Distance{0}});
   const std::vector<Distance>* bounds = query.upper_bounds();
-  apply_warm_start(source, bounds);
+  seed_upper_bounds(device_, dist_, source, bounds);
 
   if (options_.mode == EngineMode::kSyncPushBellmanFord) {
     // BL: plain synchronous push SSSP. One frontier sweep per kernel
@@ -708,23 +643,9 @@ GpuRunResult GpuDeltaStepping::attempt(VertexId source,
     bs.initial_active = vqueue_.size();
     phase1_sync(0, graph::kInfiniteDistance, graph::kInfiniteDistance, bs,
                 query);
-    if (options_.instrument) result.buckets.push_back(bs);
+    result.buckets.push_back(bs);
+    result.sssp.distances = dist_.data();
     result.sssp.work = work_;
-    if (query.cancelled()) {
-      // Over deadline (a late answer is no answer): partial metrics only,
-      // never partially relaxed distances.
-      result.ok = false;
-      result.deadline_exceeded = true;
-    } else {
-      result.sssp.distances = dist_.data();
-      sssp::finalize_valid_updates(result.sssp, source);
-    }
-    result.device_ms = sim_->stream_elapsed_ms(stream_) - ms_before;
-    result.queue_wait_ms = sim_->stream_queue_wait_ms(stream_) - wait_before;
-    result.counters = sim_->counters() - counters_before;
-    if (const gpusim::Sanitizer* san = sim_->sanitizer()) {
-      result.sanitizer_report = san->report();
-    }
     return result;
   }
 
@@ -749,7 +670,7 @@ GpuRunResult GpuDeltaStepping::attempt(VertexId source,
       RDBS_CHECK_MSG(query.poisoned(), "bucket loop runaway");
       break;
     }
-    if (sim_->device_lost()) break;  // attempt is void; stop burning work
+    if (sim().device_lost()) break;  // attempt is void; stop burning work
     // Bucket boundary: the async mode's cancellation point (a persistent
     // phase-1 kernel runs its bucket to completion — a launched grid cannot
     // be revoked — but the next bucket is never launched).
@@ -761,8 +682,8 @@ GpuRunResult GpuDeltaStepping::attempt(VertexId source,
     bs.high = hi;
     bs.initial_active = vqueue_.size();
 
-    const std::uint64_t threads_before = sim_->counters().active_lane_ops;
-    const double ms_before_phase1 = sim_->stream_elapsed_ms(stream_);
+    const std::uint64_t threads_before = sim().counters().active_lane_ops;
+    const double ms_before_phase1 = sim().stream_elapsed_ms(stream());
     if (!vqueue_.empty()) {
       if (options_.basyn) {
         phase1_async(lo, hi, delta, bs);
@@ -770,8 +691,8 @@ GpuRunResult GpuDeltaStepping::attempt(VertexId source,
         phase1_sync(lo, hi, delta, bs, query);
       }
     }
-    bs.threads_used = sim_->counters().active_lane_ops - threads_before;
-    bs.phase1_ms = sim_->stream_elapsed_ms(stream_) - ms_before_phase1;
+    bs.threads_used = sim().counters().active_lane_ops - threads_before;
+    bs.phase1_ms = sim().stream_elapsed_ms(stream()) - ms_before_phase1;
 
     // Δ readjustment (Algorithm 2, line 11): after phase 1, using this
     // bucket's converged count and thread usage, before phases 2&3 collect
@@ -781,14 +702,14 @@ GpuRunResult GpuDeltaStepping::attempt(VertexId source,
 
     Weight next_lo = hi;
     Weight next_hi = next_lo + delta_next;
-    const double ms_before_phase23 = sim_->stream_elapsed_ms(stream_);
+    const double ms_before_phase23 = sim().stream_elapsed_ms(stream());
     const ScanOutcome outcome =
         phase23(lo, hi, delta, next_lo, next_hi, /*relax_heavy=*/true);
-    bs.phase23_ms = sim_->stream_elapsed_ms(stream_) - ms_before_phase23;
+    bs.phase23_ms = sim().stream_elapsed_ms(stream()) - ms_before_phase23;
     // The scan's settled count must agree with the queue-side count: every
     // vertex of the bucket passed through the queue exactly once.
     RDBS_DCHECK(outcome.converged == bs.converged || query.poisoned());
-    if (options_.instrument) result.buckets.push_back(bs);
+    result.buckets.push_back(bs);
     // Bucket boundary: the tentative distances are a consistent set of
     // upper bounds here — snapshot them for checkpoint-resume.
     query.checkpoint_boundary(dist_, options_.checkpoint_interval);
@@ -815,24 +736,8 @@ GpuRunResult GpuDeltaStepping::attempt(VertexId source,
     delta = hi - lo;
   }
 
+  result.sssp.distances = dist_.data();
   result.sssp.work = work_;
-  if (query.cancelled()) {
-    // Over deadline at (or after) the last cancellation point: the serving
-    // contract is that a late answer is no answer, so the distances are
-    // withheld even when the run happened to finish — only the partial
-    // metrics (device time burned, counters) are reported.
-    result.ok = false;
-    result.deadline_exceeded = true;
-  } else {
-    result.sssp.distances = dist_.data();
-    sssp::finalize_valid_updates(result.sssp, source);
-  }
-  result.device_ms = sim_->stream_elapsed_ms(stream_) - ms_before;
-  result.queue_wait_ms = sim_->stream_queue_wait_ms(stream_) - wait_before;
-  result.counters = sim_->counters() - counters_before;
-  if (const gpusim::Sanitizer* san = sim_->sanitizer()) {
-    result.sanitizer_report = san->report();
-  }
   return result;
 }
 

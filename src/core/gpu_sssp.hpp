@@ -24,7 +24,6 @@
 #pragma once
 
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "core/delta_controller.hpp"
@@ -48,32 +47,23 @@ class GpuDeltaStepping : public RecoverableEngine {
   // `csr` must outlive the engine. With options.pro set the graph must have
   // weight-sorted adjacency (reorder::sort_adjacency_by_weight or the full
   // property_driven_reorder pipeline); this is checked once at construction.
+  // Runs on its own simulator, with options.sanitize and options.fault.
   GpuDeltaStepping(gpusim::DeviceSpec device, const Csr& csr,
                    GpuSsspOptions options);
 
-  // Shared-simulator variant for batched queries: the engine issues all its
-  // kernels on `stream` of an externally owned simulator (which must outlive
-  // the engine) and never resets it — run() reports per-query deltas of the
-  // stream clock and counters instead. With `shared_graph` set (same sim,
-  // same csr) the engine uses those device CSR arrays instead of uploading
-  // its own copy; otherwise it uploads one. Per-query buffers (distances,
-  // queues, heavy-offset mirror) are allocated once here and pooled across
-  // run() calls.
-  GpuDeltaStepping(gpusim::GpuSim& sim, gpusim::StreamId stream,
-                   const Csr& csr, GpuSsspOptions options,
-                   const DeviceCsrBuffers* shared_graph = nullptr);
+  // Runs on `device`, e.g. a batch lane (EngineDevice::lane) whose CSR is
+  // `csr`'s upload; the record's form decides gsan and gfi. Per-query
+  // buffers (distances, queues, heavy-offset mirror) are allocated once
+  // here and pooled across run() calls.
+  GpuDeltaStepping(EngineDevice device, const Csr& csr,
+                   GpuSsspOptions options);
 
-  // run(source) (RecoverableEngine): when the engine owns its simulator,
-  // simulated time/counters are reset per attempt; either way the result's
-  // device_ms / queue_wait_ms / counters describe exactly this run. The
-  // context() bindings are polled as follows: the cancel token at every
-  // bucket and phase-1-iteration boundary (an expired run returns
+  // run(source) (RecoverableEngine) polls the context()'s cancel token at
+  // every bucket and phase-1-iteration boundary (an expired run returns
   // deadline_exceeded with partial metrics and NO distances); the warm or
   // resume bounds seed every attempt; and with options.checkpoint_interval
   // set, a snapshot is taken every N bucket boundaries (never in BL mode).
 
-  gpusim::GpuSim& sim() { return *sim_; }
-  gpusim::StreamId stream() const { return stream_; }
   const GpuSsspOptions& options() const { return options_; }
 
  private:
@@ -82,8 +72,6 @@ class GpuDeltaStepping : public RecoverableEngine {
   GpuRunResult attempt(VertexId source, AttemptContext& query) override;
 
   // --- kernel bodies -------------------------------------------------------
-  void init_distances_kernel(VertexId source);
-
   // Phase 1, synchronous mode: one kernel per frontier iteration.
   // Polls query.cancelled() before every iteration.
   void phase1_sync(Weight lo, Weight hi, Weight delta, BucketStats& stats,
@@ -123,26 +111,14 @@ class GpuDeltaStepping : public RecoverableEngine {
   // starts from upper bounds (`warm`) — every seeded vertex whose distance
   // already lies inside the initial window [0, hi).
   void seed_queue(VertexId source, Weight hi, bool warm);
-  // Applies `bounds` (AttemptContext::upper_bounds; may be null) onto the
-  // freshly initialized distances.
-  void apply_warm_start(VertexId source, const std::vector<Distance>* bounds);
   void enqueue(gpusim::WarpCtx& ctx, VertexId v, std::uint32_t lanes);
   void charge_enqueue(gpusim::WarpCtx& ctx, std::uint32_t lanes);
 
-  // Allocates per-query device buffers and resolves the graph arrays
-  // (shared or freshly uploaded). Common tail of both constructors.
-  void init_device_state(const DeviceCsrBuffers* shared_graph);
-
-  std::unique_ptr<gpusim::GpuSim> owned_sim_;  // null in shared-sim mode
-  gpusim::GpuSim* sim_;                        // never null
-  gpusim::StreamId stream_ = 0;
   GpuSsspOptions options_;
 
-  // Device-resident data (device element sizes match the CUDA layout:
-  // 4-byte offsets/ids/weights/distances). The read-only CSR arrays live in
-  // *graph_bufs_ — either this engine's own upload or a shared one.
-  std::unique_ptr<DeviceCsrBuffers> owned_graph_;
-  const DeviceCsrBuffers* graph_bufs_ = nullptr;  // never null after ctor
+  // Per-query device data (device element sizes match the CUDA layout:
+  // 4-byte offsets/ids/weights/distances); the read-only CSR arrays are the
+  // device record's.
   gpusim::Buffer<EdgeIndex> heavy_offsets_;  // present with PRO
   gpusim::Buffer<Distance> dist_;
   gpusim::Buffer<VertexId> queue_;     // phase-1 work queue (ring)

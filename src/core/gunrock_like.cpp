@@ -14,31 +14,31 @@ constexpr std::uint64_t kOutCursorCell[1] = {0};
 }
 
 Enactor::Enactor(gpusim::DeviceSpec device, const graph::Csr& csr,
-                 gpusim::SanitizeMode sanitize)
-    : sim_(std::move(device)), csr_(csr) {
-  sim_.enable_sanitizer(sanitize);
+                 gpusim::SanitizeMode sanitize,
+                 const gpusim::FaultConfig& fault)
+    : device_(std::move(device), csr, sanitize, fault), csr_(csr) {
   const VertexId n = csr_.num_vertices();
   const EdgeIndex m = csr_.num_edges();
-  graph_ = DeviceCsrBuffers::upload(sim_, csr_);
-  dist_ = sim_.alloc<Distance>("dist", n, kDeviceWord);
-  frontier_in_ = sim_.alloc<VertexId>("frontier_in",
+  gpusim::GpuSim& sim = device_.sim();
+  dist_ = sim.alloc<Distance>("dist", n, kDeviceWord);
+  frontier_in_ = sim.alloc<VertexId>("frontier_in",
                                       std::max<EdgeIndex>(m + 64, 64),
                                       kDeviceWord);
-  frontier_out_ = sim_.alloc<VertexId>("frontier_out",
+  frontier_out_ = sim.alloc<VertexId>("frontier_out",
                                        std::max<EdgeIndex>(m + 64, 64),
                                        kDeviceWord);
-  frontier_ctrl_ = sim_.alloc<std::uint32_t>("frontier_ctrl", 1, kDeviceWord);
-  sim_.mark_initialized(frontier_ctrl_);
+  frontier_ctrl_ = sim.alloc<std::uint32_t>("frontier_ctrl", 1, kDeviceWord);
+  sim.mark_initialized(frontier_ctrl_);
   // The dedup bitmap is cudaMemset at allocation time.
-  visited_ = sim_.alloc<std::uint8_t>("visited", n, 1);
-  sim_.mark_initialized(visited_);
+  visited_ = sim.alloc<std::uint8_t>("visited", n, 1);
+  sim.mark_initialized(visited_);
 }
 
 void Enactor::seed_frontier(const Frontier& frontier) {
   for (std::size_t i = 0; i < frontier.size(); ++i) {
     frontier_in_[i % frontier_in_.size()] = frontier.vertices()[i];
   }
-  sim_.mark_initialized(frontier_in_, 0,
+  sim().mark_initialized(frontier_in_, 0,
                         std::min<std::uint64_t>(frontier.size(),
                                                 frontier_in_.size()));
 }
@@ -53,8 +53,8 @@ Frontier Enactor::advance(const Frontier& frontier, const AdvanceFunctor& f) {
   // The enactor guarantees the input frontier is resident in frontier_in_
   // (the previous operator's compact-store, or a host upload for seeds).
   seed_frontier(frontier);
-  sim_.label_next_launch("advance");
-  gpusim::KernelScope kernel(sim_, gpusim::Schedule::kStatic, true);
+  sim().label_next_launch("advance");
+  gpusim::KernelScope kernel(sim(), gpusim::Schedule::kStatic, true);
   for (std::size_t base = 0; base < frontier.size(); base += 32) {
     const auto cnt = static_cast<std::uint32_t>(
         std::min<std::size_t>(32, frontier.size() - base));
@@ -73,7 +73,7 @@ Frontier Enactor::advance(const Frontier& frontier, const AdvanceFunctor& f) {
     ctx.load(frontier_in_, std::span<const std::uint64_t>(slot.data(), cnt),
              std::span<VertexId>(tmp.data(), cnt));
     const RowBounds rows = load_row_bounds(
-        ctx, graph_, std::span<const std::uint64_t>(vidx.data(), cnt));
+        ctx, device_.graph(), std::span<const std::uint64_t>(vidx.data(), cnt));
     ctx.alu(4, cnt);  // prefix-sum steps of the flattening
     for (std::uint32_t i = 0; i < cnt; ++i) {
       append_edge_chunks(chunks, frontier.vertices()[base + i],
@@ -87,7 +87,8 @@ Frontier Enactor::advance(const Frontier& frontier, const AdvanceFunctor& f) {
     auto ctx = kernel.make_warp();
     const std::uint32_t cnt = chunk.size();
     ctx.load_one(dist_, chunk.vertex);  // the source distance the functor reads
-    const EdgeLanes edges = load_edge_chunk(ctx, graph_, chunk.begin, cnt);
+    const EdgeLanes edges =
+        load_edge_chunk(ctx, device_.graph(), chunk.begin, cnt);
     ctx.alu(2, cnt);
 
     // The functor's writes (e.g. atomicMin on dist) are charged as one
@@ -124,7 +125,7 @@ Frontier Enactor::advance(const Frontier& frontier, const AdvanceFunctor& f) {
     kernel.commit(ctx);
   }
   kernel.finish();
-  sim_.host_barrier();
+  sim().host_barrier();
   // Ping-pong: the advance output is the next operator's input.
   std::swap(frontier_in_, frontier_out_);
   return out;
@@ -138,8 +139,8 @@ Frontier Enactor::filter(const Frontier& frontier,
   // the visited bitmap (marked with atomicOr — plain byte stores from
   // concurrent warps holding the same vertex would race), compact-store.
   seed_frontier(frontier);
-  sim_.label_next_launch("filter");
-  gpusim::KernelScope kernel(sim_, gpusim::Schedule::kStatic, true);
+  sim().label_next_launch("filter");
+  gpusim::KernelScope kernel(sim(), gpusim::Schedule::kStatic, true);
   std::vector<char> seen_this_filter(csr_.num_vertices(), 0);
   for (std::size_t base = 0; base < frontier.size(); base += 32) {
     const auto cnt = static_cast<std::uint32_t>(
@@ -190,7 +191,7 @@ Frontier Enactor::filter(const Frontier& frontier,
     kernel.commit(ctx);
   }
   kernel.finish();
-  sim_.host_barrier();
+  sim().host_barrier();
   std::swap(frontier_in_, frontier_out_);
   // The visited bitmap is per-filter scratch in this model: clear the
   // functional flags (cost folded into the stores above).
@@ -200,92 +201,78 @@ Frontier Enactor::filter(const Frontier& frontier,
 
 GpuRunResult sssp(gpusim::DeviceSpec device, const graph::Csr& csr,
                   VertexId source, const GunrockSsspOptions& options) {
-  Enactor enactor(std::move(device), csr, options.sanitize);
-  if (options.fault.enabled) {
-    enactor.sim().enable_fault_injection(options.fault);
-  }
-  // One recovery attempt: the enactor (and its simulator clock) is shared
-  // across attempts, so metrics are measured as per-attempt deltas.
+  Enactor enactor(std::move(device), csr, options.sanitize, options.fault);
+  // One recovery attempt on the enactor's device record.
   auto attempt = [&](AttemptContext&) -> GpuRunResult {
-  const double ms_before = enactor.sim().elapsed_ms();
-  const gpusim::Counters counters_before = enactor.sim().counters();
-  sssp::WorkStats work;
+    sssp::WorkStats work;
 
-  auto& dist = enactor.dist();
-  std::fill(dist.data().begin(), dist.data().end(),
-            graph::kInfiniteDistance);
-  // Init kernel (coalesced stores over dist).
-  fill_kernel(enactor.sim(), "init_distances", csr.num_vertices(), 0,
-              Fill{dist, graph::kInfiniteDistance});
-  dist[source] = 0;
-  enactor.sim().mark_initialized(dist, source, 1);
+    auto& dist = enactor.dist();
+    // Init kernel (coalesced stores over dist).
+    fill_kernel(enactor.device(), "init_distances", csr.num_vertices(),
+                Fill{dist, graph::kInfiniteDistance});
+    dist[source] = 0;
+    enactor.sim().mark_initialized(dist, source, 1);
 
-  // Two-level priority split: the "near" pile is advanced immediately,
-  // "far" emissions are re-split when near drains (Gunrock's sssp).
-  const bool split = options.delta > 0;
-  Distance threshold = split ? options.delta : graph::kInfiniteDistance;
-  std::vector<VertexId> far;
+    // Two-level priority split: the "near" pile is advanced immediately,
+    // "far" emissions are re-split when near drains (Gunrock's sssp).
+    const bool split = options.delta > 0;
+    Distance threshold = split ? options.delta : graph::kInfiniteDistance;
+    std::vector<VertexId> far;
 
-  Frontier frontier(std::vector<VertexId>{source});
-  while (!frontier.empty() || !far.empty()) {
-    if (enactor.sim().device_lost()) break;  // attempt is void; recovery runs
-    if (frontier.empty()) {
-      // Re-split far: advance the threshold and filter the pile.
-      Distance min_far = graph::kInfiniteDistance;
-      for (const VertexId v : far) {
-        if (dist[v] >= threshold) min_far = std::min(min_far, dist[v]);
+    Frontier frontier(std::vector<VertexId>{source});
+    while (!frontier.empty() || !far.empty()) {
+      if (enactor.sim().device_lost()) break;  // attempt is void; recovery runs
+      if (frontier.empty()) {
+        // Re-split far: advance the threshold and filter the pile.
+        Distance min_far = graph::kInfiniteDistance;
+        for (const VertexId v : far) {
+          if (dist[v] >= threshold) min_far = std::min(min_far, dist[v]);
+        }
+        if (min_far == graph::kInfiniteDistance) break;
+        const Distance old_threshold = threshold;
+        while (threshold <= min_far) threshold += options.delta;
+        Frontier pile{std::move(far)};
+        far.clear();
+        frontier = enactor.filter(pile, [&](VertexId v) {
+          return dist[v] >= old_threshold && dist[v] < threshold;
+        });
+        // Entries beyond the new threshold stay in far.
+        for (const VertexId v : pile.vertices()) {
+          if (dist[v] >= threshold) far.push_back(v);
+        }
+        continue;
       }
-      if (min_far == graph::kInfiniteDistance) break;
-      const Distance old_threshold = threshold;
-      while (threshold <= min_far) threshold += options.delta;
-      Frontier pile{std::move(far)};
-      far.clear();
-      frontier = enactor.filter(pile, [&](VertexId v) {
-        return dist[v] >= old_threshold && dist[v] < threshold;
+
+      ++work.iterations;
+      // advance(relax): atomicMin semantics through the functor.
+      Frontier expanded = enactor.advance(
+          frontier, [&](VertexId u, VertexId v, Weight w) {
+            ++work.relaxations;
+            const Distance through = dist[u] + w;
+            if (through < dist[v]) {
+              dist[v] = through;
+              ++work.total_updates;
+              return true;
+            }
+            return false;
+          });
+      // filter(dedup + near test); far emissions are piled.
+      frontier = enactor.filter(expanded, [&](VertexId v) {
+        if (!split) return true;
+        if (dist[v] < threshold) return true;
+        far.push_back(v);
+        return false;
       });
-      // Entries beyond the new threshold stay in far.
-      for (const VertexId v : pile.vertices()) {
-        if (dist[v] >= threshold) far.push_back(v);
-      }
-      continue;
     }
 
-    ++work.iterations;
-    // advance(relax): atomicMin semantics through the functor.
-    Frontier expanded = enactor.advance(
-        frontier, [&](VertexId u, VertexId v, Weight w) {
-          ++work.relaxations;
-          const Distance through = dist[u] + w;
-          if (through < dist[v]) {
-            dist[v] = through;
-            ++work.total_updates;
-            return true;
-          }
-          return false;
-        });
-    // filter(dedup + near test); far emissions are piled.
-    frontier = enactor.filter(expanded, [&](VertexId v) {
-      if (!split) return true;
-      if (dist[v] < threshold) return true;
-      far.push_back(v);
-      return false;
-    });
-  }
-
-  GpuRunResult result;
-  result.sssp.distances = dist.data();
-  result.sssp.work = work;
-  sssp::finalize_valid_updates(result.sssp, source);
-  result.device_ms = enactor.sim().elapsed_ms() - ms_before;
-  result.counters = enactor.sim().counters() - counters_before;
-  if (const gpusim::Sanitizer* san = enactor.sim().sanitizer()) {
-    result.sanitizer_report = san->report();
-  }
-  return result;
+    GpuRunResult result;
+    result.sssp.distances = dist.data();
+    result.sssp.work = work;
+    return result;
   };
 
   AttemptContext query;
-  query.attach(enactor.sim());
+  query.attach(enactor.device());
   return run_with_recovery(query, options.retry, csr, source, attempt);
 }
 

@@ -42,13 +42,15 @@ using AdvanceFunctor =
 // Per-vertex predicate for filter.
 using FilterPredicate = std::function<bool(VertexId)>;
 
-// The operator context: owns the simulator and the device-resident graph.
+// The operator context: owns the device record (simulator and
+// device-resident graph).
 class Frontier;
 
 class Enactor {
  public:
   Enactor(gpusim::DeviceSpec device, const graph::Csr& csr,
-          gpusim::SanitizeMode sanitize = gpusim::SanitizeMode::kOff);
+          gpusim::SanitizeMode sanitize = gpusim::SanitizeMode::kOff,
+          const gpusim::FaultConfig& fault = {});
 
   // advance: expand `frontier` through `f`; the emitted destinations
   // (with duplicates) form the result.
@@ -57,7 +59,8 @@ class Enactor {
   // bitmap-based dedup), in one compaction kernel.
   Frontier filter(const Frontier& frontier, const FilterPredicate& pred);
 
-  gpusim::GpuSim& sim() { return sim_; }
+  const EngineDevice& device() const { return device_; }
+  gpusim::GpuSim& sim() { return device_.sim(); }
   const graph::Csr& csr() const { return csr_; }
 
   // Device-resident distance array for apps that need one (SSSP).
@@ -71,10 +74,9 @@ class Enactor {
   // host-constructed frontiers (the source seed, far-pile re-splits).
   void seed_frontier(const Frontier& frontier);
 
-  gpusim::GpuSim sim_;
+  EngineDevice device_;
   const graph::Csr& csr_;
 
-  DeviceCsrBuffers graph_;
   gpusim::Buffer<Distance> dist_;
   // Double-buffered frontier queues (Gunrock's ping-pong): each operator
   // reads frontier_in_ and compact-stores its output into frontier_out_,

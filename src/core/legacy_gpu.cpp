@@ -28,43 +28,35 @@ HarishNarayanan::HarishNarayanan(gpusim::DeviceSpec device,
                                  gpusim::SanitizeMode sanitize,
                                  const gpusim::FaultConfig& fault,
                                  const RetryPolicy& retry)
-    : RecoverableEngine(csr, retry), sim_(std::move(device)) {
-  sim_.enable_sanitizer(sanitize);
-  if (fault.enabled) sim_.enable_fault_injection(fault);
-  ctx_.attach(sim_);
+    : RecoverableEngine(EngineDevice(std::move(device), csr, sanitize, fault),
+                        csr, retry) {
   const VertexId n = csr_.num_vertices();
-  graph_ = DeviceCsrBuffers::upload(sim_, csr_);
-  dist_ = sim_.alloc<Distance>("cost", n, kDeviceWord);
-  updating_dist_ = sim_.alloc<Distance>("updating_cost", n, kDeviceWord);
-  mask_ = sim_.alloc<std::uint8_t>("mask", n, 1);
+  dist_ = sim().alloc<Distance>("cost", n, kDeviceWord);
+  updating_dist_ = sim().alloc<Distance>("updating_cost", n, kDeviceWord);
+  mask_ = sim().alloc<std::uint8_t>("mask", n, 1);
 }
 
 GpuRunResult HarishNarayanan::attempt(VertexId source,
                                       AttemptContext& query) {
-  sim_.reset_all();
   const VertexId n = csr_.num_vertices();
   const std::uint64_t warps = (n + 31) / 32;
   sssp::WorkStats work;
 
   // Initialization kernel: cost = updating_cost = inf, mask = 0; then the
   // source seeded by a one-thread kernel (exactly the 2007 structure).
-  fill_kernel(sim_, "init_arrays", n, 0,
+  fill_kernel(device_, "init_arrays", n,
               Fill{dist_, graph::kInfiniteDistance},
               Fill{updating_dist_, graph::kInfiniteDistance},
               Fill{mask_, std::uint8_t{0}});
-  sim_.label_next_launch("seed_source");
-  sim_.run_kernel(gpusim::Schedule::kStatic, 1, 1,
-                  [&](gpusim::WarpCtx& ctx, std::uint64_t) {
-                    ctx.store_one(dist_, source, Distance{0});
-                    ctx.store_one(updating_dist_, source, Distance{0});
-                    ctx.store_one(mask_, source, std::uint8_t{1});
-                  });
+  seed_kernel(device_, source, Fill{dist_, Distance{0}},
+              Fill{updating_dist_, Distance{0}},
+              Fill{mask_, std::uint8_t{1}});
 
   bool changed = true;
   const std::uint64_t max_iterations = 4 * (std::uint64_t(n) + 8);
   std::uint64_t iterations = 0;
   while (changed) {
-    if (sim_.device_lost()) break;  // attempt is void; recovery takes over
+    if (sim().device_lost()) break;  // attempt is void; recovery takes over
     if (++iterations >= max_iterations) {
       // Corrupted distances can stall convergence; the poisoned attempt is
       // discarded by the retry driver. A clean-device runaway is a bug.
@@ -75,8 +67,8 @@ GpuRunResult HarishNarayanan::attempt(VertexId source,
 
     // Kernel 1 (topology-driven): every vertex loads its mask; masked lanes
     // relax all out-edges into updating_cost via atomicMin.
-    sim_.label_next_launch("relax_scatter");
-    sim_.run_kernel(
+    sim().label_next_launch("relax_scatter");
+    sim().run_kernel(
         gpusim::Schedule::kStatic, warps, 8,
         [&](gpusim::WarpCtx& ctx, std::uint64_t w) {
           const std::uint64_t begin = w * 32;
@@ -101,13 +93,13 @@ GpuRunResult HarishNarayanan::attempt(VertexId source,
             vact[i] = begin + active_lane[i];
           }
           std::span<const std::uint64_t> va(vact.data(), active);
-          const RowBounds rows = load_row_bounds(ctx, graph_, va);
+          const RowBounds rows = load_row_bounds(ctx, graph(), va);
           std::array<Distance, 32> du{};
           ctx.load(dist_, va, std::span<Distance>(du.data(), active));
           ctx.alu(2, active);
 
           for_each_lockstep_edge(
-              ctx, graph_, rows, active, [&](const LockstepStep& step) {
+              ctx, graph(), rows, active, [&](const LockstepStep& step) {
                 const std::uint32_t cnt = step.count;
                 ctx.alu(2, cnt);
                 work.relaxations += cnt;
@@ -131,8 +123,8 @@ GpuRunResult HarishNarayanan::attempt(VertexId source,
 
     // Kernel 2: commit improvements, rebuild the mask, resync the shadow.
     changed = false;
-    sim_.label_next_launch("commit_mask");
-    sim_.run_kernel(
+    sim().label_next_launch("commit_mask");
+    sim().run_kernel(
         gpusim::Schedule::kStatic, warps, 8,
         [&](gpusim::WarpCtx& ctx, std::uint64_t w) {
           const std::uint64_t begin = w * 32;
@@ -164,18 +156,12 @@ GpuRunResult HarishNarayanan::attempt(VertexId source,
           ctx.store(mask_, is,
                     std::span<const std::uint8_t>(new_mask.data(), lanes));
         });
-    sim_.host_barrier();
+    sim().host_barrier();
   }
 
   GpuRunResult result;
   result.sssp.distances = dist_.data();
   result.sssp.work = work;
-  sssp::finalize_valid_updates(result.sssp, source);
-  result.device_ms = sim_.elapsed_ms();
-  result.counters = sim_.counters();
-  if (const gpusim::Sanitizer* san = sim_.sanitizer()) {
-    result.sanitizer_report = san->report();
-  }
   return result;
 }
 
@@ -186,46 +172,41 @@ GpuRunResult HarishNarayanan::attempt(VertexId source,
 DavidsonNearFar::DavidsonNearFar(gpusim::DeviceSpec device,
                                  const graph::Csr& csr,
                                  DavidsonOptions options)
-    : RecoverableEngine(csr, options.retry),
-      sim_(std::move(device)),
+    : RecoverableEngine(EngineDevice(std::move(device), csr, options.sanitize,
+                                     options.fault),
+                        csr, options.retry),
       options_(options) {
   RDBS_CHECK(options_.delta > 0);
-  sim_.enable_sanitizer(options_.sanitize);
-  if (options_.fault.enabled) sim_.enable_fault_injection(options_.fault);
-  ctx_.attach(sim_);
   const VertexId n = csr_.num_vertices();
   const EdgeIndex m = csr_.num_edges();
-  graph_ = DeviceCsrBuffers::upload(sim_, csr_);
-  dist_ = sim_.alloc<Distance>("dist", n, kDeviceWord);
-  near_queue_ = sim_.alloc<VertexId>("near", std::max<std::size_t>(n, 64),
-                                     kDeviceWord);
-  far_pile_ = sim_.alloc<VertexId>("far", std::max<std::size_t>(2 * m + 64, 64),
-                                   kDeviceWord);
-  queue_ctrl_ = sim_.alloc<std::uint32_t>("queue_ctrl", 2, kDeviceWord);
-  sim_.mark_initialized(queue_ctrl_);
-  in_near_ = sim_.alloc<std::uint8_t>("in_near", n, 1);
+  gpusim::GpuSim& sim = this->sim();
+  dist_ = sim.alloc<Distance>("dist", n, kDeviceWord);
+  near_queue_ = sim.alloc<VertexId>("near", std::max<std::size_t>(n, 64),
+                                    kDeviceWord);
+  far_pile_ = sim.alloc<VertexId>("far", std::max<std::size_t>(2 * m + 64, 64),
+                                  kDeviceWord);
+  queue_ctrl_ = sim.alloc<std::uint32_t>("queue_ctrl", 2, kDeviceWord);
+  sim.mark_initialized(queue_ctrl_);
+  in_near_ = sim.alloc<std::uint8_t>("in_near", n, 1);
 }
 
 GpuRunResult DavidsonNearFar::attempt(VertexId source,
                                       AttemptContext& /*query*/) {
-  sim_.reset_all();
   const VertexId n = csr_.num_vertices();
   sssp::WorkStats work;
   std::fill(in_near_.data().begin(), in_near_.data().end(), 0);
-  std::fill(dist_.data().begin(), dist_.data().end(),
-            graph::kInfiniteDistance);
   // Init kernel cost: one coalesced pass over dist.
-  fill_kernel(sim_, "init_distances", n, 0,
+  fill_kernel(device_, "init_distances", n,
               Fill{dist_, graph::kInfiniteDistance});
   // Host seed: dist[source] plus the first near-queue slot, modeled as H2D
   // uploads.
   dist_[source] = 0;
-  sim_.mark_initialized(dist_, source, 1);
+  sim().mark_initialized(dist_, source, 1);
 
   std::vector<VertexId> near{source};
   in_near_[source] = 1;
   near_queue_[0] = source;
-  sim_.mark_initialized(near_queue_, 0, 1);
+  sim().mark_initialized(near_queue_, 0, 1);
   std::vector<VertexId> far;
   std::uint64_t near_tail = 1;
   std::uint64_t far_tail = 0;
@@ -254,15 +235,15 @@ GpuRunResult DavidsonNearFar::attempt(VertexId source,
   };
 
   while (!near.empty() || !far.empty()) {
-    if (sim_.device_lost()) break;  // attempt is void; recovery takes over
+    if (sim().device_lost()) break;  // attempt is void; recovery takes over
     if (near.empty()) {
       // Far split (synchronous kernel over the pile). The live entries
       // occupy the last far.size() pile slots (pushes and slots are in
       // lockstep through charge_push).
       Distance min_far = graph::kInfiniteDistance;
       const std::uint64_t pile_base = far_tail - far.size();
-      sim_.label_next_launch("far_split");
-      gpusim::KernelScope split(sim_, gpusim::Schedule::kStatic, true);
+      sim().label_next_launch("far_split");
+      gpusim::KernelScope split(sim(), gpusim::Schedule::kStatic, true);
       for (std::size_t base = 0; base < far.size(); base += 32) {
         const auto cnt = static_cast<std::uint32_t>(
             std::min<std::size_t>(32, far.size() - base));
@@ -326,7 +307,7 @@ GpuRunResult DavidsonNearFar::attempt(VertexId source,
         split.commit(ctx);
       }
       split.finish();
-      sim_.host_barrier();
+      sim().host_barrier();
       far.swap(still_far);
       continue;
     }
@@ -341,8 +322,8 @@ GpuRunResult DavidsonNearFar::attempt(VertexId source,
       // over the frontier (queue-slot reads + row-bound loads + prefix-sum
       // ALU). The frontier occupies the last near.size() queue slots.
       const std::uint64_t near_base = near_tail - near.size();
-      sim_.label_next_launch("workfront_setup");
-      gpusim::KernelScope setup(sim_, gpusim::Schedule::kStatic, true);
+      sim().label_next_launch("workfront_setup");
+      gpusim::KernelScope setup(sim(), gpusim::Schedule::kStatic, true);
       for (std::size_t base = 0; base < near.size(); base += 32) {
         const auto cnt = static_cast<std::uint32_t>(
             std::min<std::size_t>(32, near.size() - base));
@@ -359,7 +340,7 @@ GpuRunResult DavidsonNearFar::attempt(VertexId source,
                            std::span<const std::uint64_t>(slot.data(), cnt),
                            /*is_store=*/false);
         const RowBounds rows = load_row_bounds(
-            ctx, graph_, std::span<const std::uint64_t>(vidx.data(), cnt));
+            ctx, graph(), std::span<const std::uint64_t>(vidx.data(), cnt));
         ctx.alu(4, cnt);  // prefix-sum steps of the compact
         for (std::uint32_t i = 0; i < cnt; ++i) {
           const VertexId v = near[base + i];
@@ -371,15 +352,15 @@ GpuRunResult DavidsonNearFar::attempt(VertexId source,
       setup.finish();
     }
     near.clear();
-    sim_.host_barrier();
+    sim().host_barrier();
 
-    sim_.label_next_launch("workfront_sweep");
-    gpusim::KernelScope sweep(sim_, gpusim::Schedule::kStatic, true);
+    sim().label_next_launch("workfront_sweep");
+    gpusim::KernelScope sweep(sim(), gpusim::Schedule::kStatic, true);
     for (const EdgeChunk& chunk : chunks) {
       auto ctx = sweep.make_warp();
       const std::uint32_t cnt = chunk.size();
       const Distance du = ctx.load_one(dist_, chunk.vertex);
-      const EdgeLanes edges = load_edge_chunk(ctx, graph_, chunk.begin, cnt);
+      const EdgeLanes edges = load_edge_chunk(ctx, graph(), chunk.begin, cnt);
       ctx.alu(2, cnt);
       work.relaxations += cnt;
       std::array<std::uint64_t, 32> tgt{};
@@ -418,18 +399,12 @@ GpuRunResult DavidsonNearFar::attempt(VertexId source,
       sweep.commit(ctx);
     }
     sweep.finish();
-    sim_.host_barrier();
+    sim().host_barrier();
   }
 
   GpuRunResult result;
   result.sssp.distances = dist_.data();
   result.sssp.work = work;
-  sssp::finalize_valid_updates(result.sssp, source);
-  result.device_ms = sim_.elapsed_ms();
-  result.counters = sim_.counters();
-  if (const gpusim::Sanitizer* san = sim_.sanitizer()) {
-    result.sanitizer_report = san->report();
-  }
   return result;
 }
 

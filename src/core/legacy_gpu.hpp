@@ -36,15 +36,10 @@ class HarishNarayanan : public RecoverableEngine {
                   const gpusim::FaultConfig& fault = {},
                   const RetryPolicy& retry = {});
 
-  gpusim::GpuSim& sim() { return sim_; }
-
  private:
   GpuRunResult attempt(graph::VertexId source,
                        AttemptContext& query) override;
 
-  gpusim::GpuSim sim_;
-
-  DeviceCsrBuffers graph_;
   gpusim::Buffer<graph::Distance> dist_;
   gpusim::Buffer<graph::Distance> updating_dist_;
   gpusim::Buffer<std::uint8_t> mask_;
@@ -64,16 +59,12 @@ class DavidsonNearFar : public RecoverableEngine {
   DavidsonNearFar(gpusim::DeviceSpec device, const graph::Csr& csr,
                   DavidsonOptions options);
 
-  gpusim::GpuSim& sim() { return sim_; }
-
  private:
   GpuRunResult attempt(graph::VertexId source,
                        AttemptContext& query) override;
 
-  gpusim::GpuSim sim_;
   DavidsonOptions options_;
 
-  DeviceCsrBuffers graph_;
   gpusim::Buffer<graph::Distance> dist_;
   gpusim::Buffer<graph::VertexId> near_queue_;
   gpusim::Buffer<graph::VertexId> far_pile_;

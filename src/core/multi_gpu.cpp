@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <deque>
-#include <string>
 
 #include "common/macros.hpp"
 #include "core/device_graph.hpp"
@@ -23,15 +22,22 @@ constexpr std::uint64_t kTailCell[1] = {0};
 constexpr std::uint64_t kOutboxCell[1] = {1};
 }  // namespace
 
-// Per-device state: its own simulator and device-resident buffers covering
-// the whole graph's read-only structure slice plus the owned dist shard.
+// Per-device state: its own device record (simulator plus the CSR rows of
+// the owned vertices) and the owned dist shard.
 struct MultiGpuDeltaStepping::Shard {
-  explicit Shard(gpusim::DeviceSpec spec) : sim(std::move(spec)) {}
+  Shard(gpusim::DeviceSpec spec, const graph::Csr& csr, VertexId begin,
+        VertexId end, gpusim::SanitizeMode sanitize,
+        const gpusim::FaultConfig& fault)
+      : device(std::move(spec), csr, begin, end, sanitize, fault),
+        first(begin),
+        last(end) {}
 
-  gpusim::GpuSim sim;
+  gpusim::GpuSim& sim() { return device.sim(); }
+  const DeviceCsrBuffers& graph() const { return device.graph(); }
+
+  EngineDevice device;
   VertexId first = 0, last = 0;  // owned vertex range [first, last)
 
-  DeviceCsrBuffers graph;                 // rows of owned vertices
   gpusim::Buffer<Distance> dist;          // owned shard
   gpusim::Buffer<VertexId> queue;
   // [0]=local queue tail, [1]=outbox (remote message) cursor.
@@ -80,63 +86,39 @@ MultiGpuDeltaStepping::MultiGpuDeltaStepping(gpusim::DeviceSpec device_template,
   RDBS_CHECK(shard_size_ > 0);
 
   for (int d = 0; d < options_.num_devices; ++d) {
-    auto shard = std::make_unique<Shard>(device_template);
-    shard->sim.enable_sanitizer(options_.sanitize);
-    if (options_.fault.enabled) {
-      // Independent per-device plan, still fully deterministic: derive the
-      // shard seed from the configured seed and the device index.
-      gpusim::FaultConfig shard_fault = options_.fault;
-      shard_fault.seed ^=
-          0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(d + 1);
-      shard->sim.enable_fault_injection(shard_fault);
-    }
+    // Independent per-device fault plan, still fully deterministic: derive
+    // the shard seed from the configured seed and the device index.
+    gpusim::FaultConfig shard_fault = options_.fault;
+    shard_fault.seed ^=
+        0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(d + 1);
     // With more devices than shard-sized slices (e.g. 4 devices, 5
     // vertices) the trailing shards are empty: [n, n).
-    shard->first =
+    const VertexId first =
         std::min<VertexId>(n, static_cast<VertexId>(d) * shard_size_);
-    shard->last = std::min<VertexId>(n, shard->first + shard_size_);
-    const VertexId local_n = shard->last - shard->first;
-    // Upload the owned rows (uncosted, as elsewhere).
-    shard->graph =
-        DeviceCsrBuffers::upload(shard->sim, csr_, shard->first, shard->last);
-    shard->dist = shard->sim.alloc<Distance>(
+    const VertexId last = std::min<VertexId>(n, first + shard_size_);
+    const VertexId local_n = last - first;
+    // Uploads the owned rows (uncosted, as elsewhere).
+    auto shard = std::make_unique<Shard>(device_template, csr_, first, last,
+                                         options_.sanitize, shard_fault);
+    shard->dist = shard->sim().alloc<Distance>(
         "dist", std::max<VertexId>(local_n, 1), kDeviceWord);
-    shard->queue = shard->sim.alloc<VertexId>(
+    shard->queue = shard->sim().alloc<VertexId>(
         "queue", std::max<VertexId>(local_n, 64), kDeviceWord);
     shard->queue_ctrl =
-        shard->sim.alloc<std::uint32_t>("queue_ctrl", 2, kDeviceWord);
-    shard->sim.mark_initialized(shard->queue_ctrl);
-    shard->in_queue = shard->sim.alloc<std::uint8_t>(
+        shard->sim().alloc<std::uint32_t>("queue_ctrl", 2, kDeviceWord);
+    shard->sim().mark_initialized(shard->queue_ctrl);
+    shard->in_queue = shard->sim().alloc<std::uint8_t>(
         "in_queue", std::max<VertexId>(local_n, 1), 1);
-    ctx_.attach(shard->sim);
+    ctx_.attach_shard(shard->device);
     shards_.push_back(std::move(shard));
   }
-}
-
-std::string MultiGpuDeltaStepping::sanitizer_report() const {
-  std::string out;
-  for (std::size_t d = 0; d < shards_.size(); ++d) {
-    const gpusim::Sanitizer* san = shards_[d]->sim.sanitizer();
-    if (san == nullptr) continue;
-    const std::string rep = san->report();
-    std::size_t pos = 0;
-    while (pos < rep.size()) {
-      std::size_t nl = rep.find('\n', pos);
-      if (nl == std::string::npos) nl = rep.size();
-      out += "[gpu" + std::to_string(d) + "] ";
-      out.append(rep, pos, nl - pos);
-      out += '\n';
-      pos = nl + 1;
-    }
-  }
-  return out;
 }
 
 MultiGpuDeltaStepping::~MultiGpuDeltaStepping() = default;
 
 bool MultiGpuDeltaStepping::any_device_lost() const {
   for (const auto& shard : shards_) {
-    if (shard->sim.device_lost()) return true;
+    if (shard->sim().device_lost()) return true;
   }
   return false;
 }
@@ -167,25 +149,22 @@ GpuRunResult MultiGpuDeltaStepping::attempt(VertexId source,
   const Weight delta = options_.delta0;
 
   for (auto& shard : shards_) {
-    shard->sim.reset_all();
     shard->frontier.clear();
     shard->queue_tail = 0;
     shard->busy_ms = 0;
-    std::fill(shard->dist.data().begin(), shard->dist.data().end(),
-              graph::kInfiniteDistance);
     std::fill(shard->in_queue.data().begin(), shard->in_queue.data().end(),
               0);
     // Init kernel per device (parallel across devices: makespan takes max).
     const VertexId local_n = shard->last - shard->first;
     if (local_n == 0) continue;
-    fill_kernel(shard->sim, "init_distances", local_n, 0,
+    fill_kernel(shard->device, "init_distances", local_n,
                 Fill{shard->dist, graph::kInfiniteDistance});
   }
   {
     double init_ms = 0;
     for (auto& shard : shards_) {
-      init_ms = std::max(init_ms, shard->sim.elapsed_ms());
-      shard->sim.reset_time();
+      init_ms = std::max(init_ms, shard->sim().elapsed_ms());
+      shard->sim().reset_time();
     }
     compute_ms += init_ms;
   }
@@ -196,8 +175,8 @@ GpuRunResult MultiGpuDeltaStepping::attempt(VertexId source,
   source_shard.in_queue[source - source_shard.first] = 1;
   // Host-side seed of the owner's device queue (H2D upload).
   source_shard.queue[0] = source - source_shard.first;
-  source_shard.sim.mark_initialized(source_shard.queue, 0, 1);
-  source_shard.sim.mark_initialized(source_shard.dist,
+  source_shard.sim().mark_initialized(source_shard.queue, 0, 1);
+  source_shard.sim().mark_initialized(source_shard.dist,
                                     source - source_shard.first, 1);
   source_shard.queue_tail = 1;
 
@@ -250,8 +229,8 @@ GpuRunResult MultiGpuDeltaStepping::attempt(VertexId source,
       Shard& shard = *shards_[d];
       auto& box = outbox[d];
       if (box.empty()) continue;
-      shard.sim.label_next_launch("apply_messages");
-      gpusim::KernelScope apply(shard.sim, gpusim::Schedule::kStatic, true);
+      shard.sim().label_next_launch("apply_messages");
+      gpusim::KernelScope apply(shard.sim(), gpusim::Schedule::kStatic, true);
       for (std::size_t base = 0; base < box.size(); base += 32) {
         const auto cnt = static_cast<std::uint32_t>(
             std::min<std::size_t>(32, box.size() - base));
@@ -283,17 +262,18 @@ GpuRunResult MultiGpuDeltaStepping::attempt(VertexId source,
     return true;
   };
 
-  // Relaxes edge range [eb, ee) of local vertex `lv` on shard `shard`
-  // against the window predicate; local improvements are queued, remote
-  // targets become messages.
+  // Relaxes the row of local vertex `lv` on shard `shard` against the
+  // window predicate; local improvements are queued, remote targets become
+  // messages.
   auto relax_range = [&](Shard& shard, gpusim::WarpCtx& ctx, VertexId lv,
-                         EdgeIndex eb, EdgeIndex ee, bool light_only,
-                         bool heavy_only) {
+                         bool light_only, bool heavy_only) {
+    const EdgeIndex eb = shard.graph().row_offsets[lv];
+    const EdgeIndex ee = shard.graph().row_offsets[lv + 1];
     const Distance du = ctx.load_one(shard.dist, lv);
     for (EdgeIndex base = eb; base < ee; base += 32) {
       const auto cnt =
           static_cast<std::uint32_t>(std::min<EdgeIndex>(32, ee - base));
-      const EdgeLanes edges = load_edge_chunk(ctx, shard.graph, base, cnt);
+      const EdgeLanes edges = load_edge_chunk(ctx, shard.graph(), base, cnt);
       ctx.alu(3, cnt);  // window predicate + add + compare
       for (std::uint32_t i = 0; i < cnt; ++i) {
         const Weight w = edges.weight[i];
@@ -341,8 +321,8 @@ GpuRunResult MultiGpuDeltaStepping::attempt(VertexId source,
       double round_ms = 0;
       for (auto& shard : shards_) {
         if (shard->frontier.empty()) continue;
-        shard->sim.label_next_launch("phase1_light");
-        gpusim::KernelScope kernel(shard->sim, gpusim::Schedule::kDynamic,
+        shard->sim().label_next_launch("phase1_light");
+        gpusim::KernelScope kernel(shard->sim(), gpusim::Schedule::kDynamic,
                                    true);
         while (!shard->frontier.empty()) {
           const Shard::QueueEntry entry = shard->frontier.front();
@@ -356,15 +336,14 @@ GpuRunResult MultiGpuDeltaStepping::attempt(VertexId source,
             // Pop contract: the enqueuer's st.cg publish must be visible.
             ctx.spin_wait(shard->queue, entry.slot);
           }
-          relax_range(*shard, ctx, lv, shard->graph.row_offsets[lv],
-                      shard->graph.row_offsets[lv + 1], /*light_only=*/true,
+          relax_range(*shard, ctx, lv, /*light_only=*/true,
                       /*heavy_only=*/false);
           kernel.commit(ctx);
         }
         kernel.finish();
-        round_ms = std::max(round_ms, shard->sim.elapsed_ms());
-        shard->busy_ms += shard->sim.elapsed_ms();
-        shard->sim.reset_time();
+        round_ms = std::max(round_ms, shard->sim().elapsed_ms());
+        shard->busy_ms += shard->sim().elapsed_ms();
+        shard->sim().reset_time();
       }
       compute_ms += round_ms;
       const bool exchanged = run_exchange();
@@ -380,8 +359,8 @@ GpuRunResult MultiGpuDeltaStepping::attempt(VertexId source,
     for (auto& shard : shards_) {
       const VertexId local_n = shard->last - shard->first;
       if (local_n == 0) continue;
-      shard->sim.label_next_launch("phase2_heavy");
-      gpusim::KernelScope scan(shard->sim, gpusim::Schedule::kStatic, true);
+      shard->sim().label_next_launch("phase2_heavy");
+      gpusim::KernelScope scan(shard->sim(), gpusim::Schedule::kStatic, true);
       for (VertexId base = 0; base < local_n; base += 32) {
         const auto cnt =
             static_cast<std::uint32_t>(std::min<VertexId>(32, local_n - base));
@@ -396,8 +375,7 @@ GpuRunResult MultiGpuDeltaStepping::attempt(VertexId source,
           const VertexId lv = base + i;
           const Distance d = shard->dist[lv];
           if (d >= lo && d < hi) {
-            relax_range(*shard, ctx, lv, shard->graph.row_offsets[lv],
-                        shard->graph.row_offsets[lv + 1], /*light_only=*/false,
+            relax_range(*shard, ctx, lv, /*light_only=*/false,
                         /*heavy_only=*/true);
           }
         }
@@ -412,8 +390,8 @@ GpuRunResult MultiGpuDeltaStepping::attempt(VertexId source,
     for (auto& shard : shards_) {
       const VertexId local_n = shard->last - shard->first;
       if (local_n == 0) continue;
-      shard->sim.label_next_launch("collect_bucket");
-      gpusim::KernelScope collect(shard->sim, gpusim::Schedule::kStatic,
+      shard->sim().label_next_launch("collect_bucket");
+      gpusim::KernelScope collect(shard->sim(), gpusim::Schedule::kStatic,
                                   true);
       for (VertexId base = 0; base < local_n; base += 32) {
         const auto cnt =
@@ -441,9 +419,9 @@ GpuRunResult MultiGpuDeltaStepping::attempt(VertexId source,
         collect.commit(ctx);
       }
       collect.finish();
-      scan_ms = std::max(scan_ms, shard->sim.elapsed_ms());
-      shard->busy_ms += shard->sim.elapsed_ms();
-      shard->sim.reset_time();
+      scan_ms = std::max(scan_ms, shard->sim().elapsed_ms());
+      shard->busy_ms += shard->sim().elapsed_ms();
+      shard->sim().reset_time();
     }
     compute_ms += scan_ms;
 
@@ -479,7 +457,6 @@ GpuRunResult MultiGpuDeltaStepping::attempt(VertexId source,
       result.sssp.distances[shard->first + lv] = shard->dist[lv];
     }
   }
-  sssp::finalize_valid_updates(result.sssp, source);
   result.device_ms = compute_ms + exchange_ms;
   out.exchange_ms += exchange_ms;
   for (const auto& shard : shards_) {

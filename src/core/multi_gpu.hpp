@@ -59,7 +59,9 @@ struct MultiGpuRunResult {
   // Distances and the fault/recovery outcome (gfi: faults carry the shard
   // index in GpuFault::device; ok == false only with retry.cpu_fallback
   // disabled). gpu.device_ms is the makespan: end-to-end simulated time
-  // over every attempt, backoff and re-upload included.
+  // over every attempt, backoff and re-upload included. gpu.counters sum
+  // every shard's, and gpu.sanitizer_report merges the shards' gsan
+  // reports ("[gpu<d>] " prefix per line).
   GpuRunResult gpu;
   double compute_ms = 0;           // makespan minus exchange_ms
   double exchange_ms = 0;          // interconnect time, every attempt
@@ -94,14 +96,10 @@ class MultiGpuDeltaStepping {
     return static_cast<int>(v / shard_size_);
   }
 
-  // Aggregated gsan report across all device shards ("[gpu<d>] " prefix
-  // per line); empty when clean or when sanitizing is off.
-  std::string sanitizer_report() const;
-
  private:
   struct Shard;
 
-  // One recovery attempt (full bucket walk from reset shard clocks). Adds
+  // One recovery attempt (full bucket walk from reset shards). Adds
   // its interconnect time to out.exchange_ms and replaces the message
   // tallies; the result's device_ms is the attempt's makespan.
   GpuRunResult attempt(graph::VertexId source, AttemptContext& query,

@@ -72,10 +72,6 @@ struct GpuSsspOptions {
   // Edges per block above which a large vertex gets multiple blocks.
   std::uint32_t block_edge_quota = 4096;
 
-  // Record per-bucket statistics (converged counts, thread usage, phase-1
-  // iteration trace) — needed by the figures, cheap enough to keep on.
-  bool instrument = true;
-
   // --- simulator execution --------------------------------------------------
   // gsan hazard analysis over every launch (docs/sanitizer.md). Off by
   // default; results are unchanged either way — sanitizing only observes.

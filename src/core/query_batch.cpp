@@ -51,13 +51,10 @@ QueryBatch::QueryBatch(const graph::Csr& csr, gpusim::DeviceSpec device,
                     8.0 * device.kernel_launch_us * 1e-3;
   }
 
-  sim_ = std::make_unique<gpusim::GpuSim>(std::move(device));
-  sim_->enable_sanitizer(options_.gpu.sanitize);
-  if (options_.gpu.fault.enabled) {
-    sim_->enable_fault_injection(options_.gpu.fault);
-  }
-  graph_bufs_ = std::make_unique<DeviceCsrBuffers>(
-      DeviceCsrBuffers::upload(*sim_, graph_));
+  // The one owned device record: its simulator carries the batch's gsan
+  // and gfi settings, and its CSR upload is shared by every lane.
+  device_.emplace(std::move(device), graph_, options_.gpu.sanitize,
+                  options_.gpu.fault);
 
   lanes_.reserve(static_cast<std::size_t>(options_.streams));
   for (int s = 0; s < options_.streams; ++s) {
@@ -65,16 +62,15 @@ QueryBatch::QueryBatch(const graph::Csr& csr, gpusim::DeviceSpec device,
     lane.stream = s;
     lane.ewma_ms = cost_seed_ms_;
     if (options_.engine == BatchEngine::kRdbs) {
-      lane.engine = std::make_unique<GpuDeltaStepping>(
-          *sim_, s, graph_, options_.gpu, graph_bufs_.get());
+      lane.engine = std::make_unique<GpuDeltaStepping>(device_->lane(s),
+                                                       graph_, options_.gpu);
     } else {
       AddsOptions adds;
       adds.delta = options_.adds_delta;
-      adds.fault = options_.gpu.fault;
       adds.retry = options_.gpu.retry;
       adds.checkpoint_interval = options_.gpu.checkpoint_interval;
-      lane.engine = std::make_unique<AddsLike>(*sim_, s, graph_, adds,
-                                               graph_bufs_.get());
+      lane.engine =
+          std::make_unique<AddsLike>(device_->lane(s), graph_, adds);
     }
     lanes_.push_back(std::move(lane));
   }
@@ -89,7 +85,7 @@ gpusim::StreamId QueryBatch::lane_stream(int lane) const {
 
 double QueryBatch::lane_clock_ms(int lane) const {
   RDBS_CHECK(lane >= 0 && lane < num_lanes());
-  return sim_->stream_elapsed_ms(lanes_[static_cast<std::size_t>(lane)].stream);
+  return sim().stream_elapsed_ms(lanes_[static_cast<std::size_t>(lane)].stream);
 }
 
 double QueryBatch::lane_cost_estimate_ms(int lane) const {
@@ -101,7 +97,7 @@ double QueryBatch::lane_predicted_completion_ms(int lane,
                                                 double not_before_ms) const {
   RDBS_CHECK(lane >= 0 && lane < num_lanes());
   const Lane& l = lanes_[static_cast<std::size_t>(lane)];
-  return std::max(sim_->stream_elapsed_ms(l.stream), not_before_ms) +
+  return std::max(sim().stream_elapsed_ms(l.stream), not_before_ms) +
          l.ewma_ms;
 }
 
@@ -136,8 +132,8 @@ int QueryBatch::pick_lane(const std::vector<std::uint8_t>* eligible) const {
       continue;
     }
     if (best < 0 ||
-        sim_->stream_elapsed_ms(lanes_[i].stream) <
-            sim_->stream_elapsed_ms(lanes_[static_cast<std::size_t>(best)]
+        sim().stream_elapsed_ms(lanes_[i].stream) <
+            sim().stream_elapsed_ms(lanes_[static_cast<std::size_t>(best)]
                                         .stream)) {
       best = static_cast<int>(i);
     }
@@ -185,15 +181,15 @@ QueryBatch::LaneOutcome QueryBatch::run_lane_query(
     // round-trip). The host stages the snapshot into this lane's upload
     // path — charged like the PCIe copy it models; the re-seed H2D is
     // charged by the engine's warm-start application.
-    sim_->charge_host_ms(
-        sim_->memcpy_ms(static_cast<std::uint64_t>(resume->bounds.size()) *
+    sim().charge_host_ms(
+        sim().memcpy_ms(static_cast<std::uint64_t>(resume->bounds.size()) *
                         kCheckpointWordBytes),
         lane.stream);
     query.set_resume_bounds(resume->bounds);
     out.stats.migrated = true;
   } else if (cache_ != nullptr &&
              cache_->warm_bounds(source,
-                                 sim_->stream_elapsed_ms(lane.stream),
+                                 sim().stream_elapsed_ms(lane.stream),
                                  &warm_bounds_)) {
     // Result cache (core/result_cache.hpp): landmark warm bounds are
     // fetched at dispatch time against the lane's own clock — a landmark
@@ -268,7 +264,7 @@ QueryBatch::LaneOutcome QueryBatch::run_lane_query(
   // distances for exact-hit reuse, failures for single-flight sharing
   // (they expire once published; see ResultCache::lookup).
   if (cache_ != nullptr) {
-    const double publish_ms = sim_->stream_elapsed_ms(lane.stream);
+    const double publish_ms = sim().stream_elapsed_ms(lane.stream);
     if ((out.stats.status == QueryStatus::kOk ||
          out.stats.status == QueryStatus::kRecovered ||
          out.stats.status == QueryStatus::kCpuFallback) &&
@@ -286,8 +282,8 @@ BatchResult QueryBatch::run(std::span<const VertexId> sources) {
   BatchResult batch;
   batch.queries.reserve(sources.size());
   batch.stats.reserve(sources.size());
-  const double batch_start_ms = sim_->elapsed_ms();
-  const gpusim::Counters counters_before = sim_->counters();
+  const double batch_start_ms = sim().elapsed_ms();
+  const gpusim::Counters counters_before = sim().counters();
 
   for (const VertexId source : sources) {
     // An invalid source fails this query alone, never the batch (and never
@@ -324,8 +320,8 @@ BatchResult QueryBatch::run(std::span<const VertexId> sources) {
     batch.queries.push_back(std::move(out.result));
   }
 
-  batch.makespan_ms = sim_->elapsed_ms() - batch_start_ms;
-  batch.counters = sim_->counters() - counters_before;
+  batch.makespan_ms = sim().elapsed_ms() - batch_start_ms;
+  batch.counters = sim().counters() - counters_before;
   batch.aggregate_mwips =
       batch.makespan_ms <= 0
           ? 0.0

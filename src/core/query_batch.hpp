@@ -20,6 +20,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -191,7 +192,7 @@ class QueryBatch {
 
   int streams() const { return static_cast<int>(lanes_.size()); }
   const graph::Csr& engine_graph() const { return graph_; }
-  gpusim::GpuSim& sim() { return *sim_; }
+  gpusim::GpuSim& sim() const { return device_->sim(); }
   const QueryBatchOptions& options() const { return options_; }
 
   // Attaches a result cache (caller-owned, typically QueryServer's;
@@ -222,8 +223,7 @@ class QueryBatch {
   graph::Csr graph_;             // engine-facing (possibly reordered) CSR
   reorder::Permutation perm_;    // identity when PRO is off
   bool permuted_ = false;
-  std::unique_ptr<gpusim::GpuSim> sim_;
-  std::unique_ptr<DeviceCsrBuffers> graph_bufs_;
+  std::optional<EngineDevice> device_;  // set once graph_ is final
   std::vector<Lane> lanes_;
   ResultCache* cache_ = nullptr;  // caller-owned; null = no caching
   // Warm-bound scratch (original and engine numbering): members so the

@@ -2,13 +2,23 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "sssp/dijkstra.hpp"
 
 namespace rdbs::core {
 
-void AttemptContext::attach(gpusim::GpuSim& sim, gpusim::StreamId stream) {
-  devices_.push_back({&sim, stream});
+void AttemptContext::attach(const EngineDevice& device) {
+  Device d;
+  d.sim = &device.sim();
+  d.stream = device.stream();
+  d.owned = device.owned();
+  devices_.push_back(d);
+}
+
+void AttemptContext::attach_shard(const EngineDevice& device) {
+  attach(device);
+  sharded_ = true;
 }
 
 bool AttemptContext::any_device_lost() const {
@@ -51,9 +61,56 @@ void AttemptContext::checkpoint_boundary(
 }
 
 void AttemptContext::begin_attempt() {
-  for (Device& d : devices_) d.log_begin = d.sim->fault_log().size();
+  for (Device& d : devices_) {
+    // Owned: fresh timeline, counters and caches per attempt. Shared: the
+    // simulator belongs to the batch, so time and cache state accumulate
+    // across queries and the attempt is metered as deltas of its stream.
+    if (d.owned) d.sim->reset_all();
+    d.log_begin = d.sim->fault_log().size();
+    d.ms_begin = d.sim->stream_elapsed_ms(d.stream);
+    d.wait_begin = d.sim->stream_queue_wait_ms(d.stream);
+    d.counters_begin = d.sim->counters();
+  }
   cancel_latched_ = false;
   boundaries_ = 0;
+}
+
+void AttemptContext::end_attempt(GpuRunResult& result,
+                                 graph::VertexId source) {
+  if (cancelled()) {
+    // Over deadline at (or after) the last cancellation point: a late
+    // answer is no answer, so the distances are withheld even when the run
+    // happened to finish; only the partial metrics are reported.
+    result.sssp.distances.clear();
+    result.deadline_exceeded = true;
+  } else {
+    sssp::finalize_valid_updates(result.sssp, source);
+  }
+  if (!sharded_) {
+    const Device& d = devices_.front();
+    result.device_ms = d.sim->stream_elapsed_ms(d.stream) - d.ms_begin;
+    result.queue_wait_ms =
+        d.sim->stream_queue_wait_ms(d.stream) - d.wait_begin;
+  }
+  for (std::size_t i = 0; i < devices_.size(); ++i) {
+    const Device& d = devices_[i];
+    result.counters += d.sim->counters() - d.counters_begin;
+    const gpusim::Sanitizer* san = d.sim->sanitizer();
+    if (san == nullptr) continue;
+    const std::string report = san->report();
+    if (!sharded_) {
+      result.sanitizer_report = report;
+      continue;
+    }
+    for (std::size_t pos = 0; pos < report.size();) {
+      std::size_t nl = report.find('\n', pos);
+      if (nl == std::string::npos) nl = report.size();
+      result.sanitizer_report += "[gpu" + std::to_string(i) + "] ";
+      result.sanitizer_report.append(report, pos, nl - pos);
+      result.sanitizer_report += '\n';
+      pos = nl + 1;
+    }
+  }
 }
 
 GpuRunResult run_with_recovery(
@@ -82,6 +139,7 @@ GpuRunResult run_with_recovery(
     // expire here — that is the only way this path returns ok == false.
     ctx.begin_attempt();
     GpuRunResult result = attempt(ctx);
+    ctx.end_attempt(result, source);
     result.ok = !result.deadline_exceeded;
     result.recovery.attempts = 1;
     return result;
@@ -89,11 +147,11 @@ GpuRunResult run_with_recovery(
 
   RecoveryStats recovery;
   std::vector<gpusim::GpuFault> faults;
-  // Attempt metrics accumulate here: owning engines reset their simulator
-  // clock per attempt, so the per-attempt deltas must be summed explicitly
-  // (shared-sim engines measure deltas from their own attempt start, so
-  // the sum is correct there too — backoff charged *between* attempts is
-  // in no attempt's delta and is added once below).
+  // Attempt metrics accumulate here: owned simulators are reset per
+  // attempt, so the per-attempt deltas must be summed explicitly (shared
+  // ones are metered from each attempt's start, so the sum is correct there
+  // too — backoff charged *between* attempts is in no attempt's delta and
+  // is added once below).
   double spent_ms = 0;
   double spent_wait_ms = 0;
   gpusim::Counters spent_counters;
@@ -105,6 +163,7 @@ GpuRunResult run_with_recovery(
     if (ctx.any_device_lost()) break;  // nothing to run on a dead device
     ctx.begin_attempt();
     GpuRunResult result = attempt(ctx);
+    ctx.end_attempt(result, source);
     ++recovery.attempts;
     // Every simulator's log tail, each fault tagged with its simulator.
     bool poisoned = false;

@@ -21,6 +21,13 @@
 //      reference (policy.cpu_fallback) or return ok == false with the
 //      typed faults. Never wrong distances, never a crash.
 //
+// run_with_recovery is also the one attempt meter. Before each attempt it
+// resets every owned simulator and records each device's stream clock,
+// queue wait and counters; after it, it withholds the distances of a
+// cancelled attempt (else finalizes WorkStats::valid_updates) and fills
+// device_ms / queue_wait_ms from the stream deltas, counters summed over
+// the devices and the gsan report. An engine's attempt() therefore returns
+// only distances, WorkStats and its per-bucket or per-round stats.
 // Metrics accumulate across attempts: device_ms / queue_wait_ms / counters
 // of the returned result cover every attempt plus backoff and re-upload
 // charges, so recovery cost is visible in the timeline.
@@ -31,6 +38,7 @@
 
 #include "core/cancel.hpp"
 #include "core/checkpoint.hpp"
+#include "core/device_graph.hpp"
 #include "core/options.hpp"
 #include "core/run_metrics.hpp"
 #include "gpusim/sim.hpp"
@@ -43,11 +51,15 @@ namespace rdbs::core {
 // run_with_recovery opens and closes every attempt on it.
 class AttemptContext {
  public:
-  // Adds a simulator the attempts run on, with the stream their work,
-  // backoff and checkpoint copies are charged to. Faults scanned on the
-  // i-th attached simulator carry GpuFault::device == i (MultiGpu shards;
-  // a single-device engine attaches one and tags 0).
-  void attach(gpusim::GpuSim& sim, gpusim::StreamId stream = 0);
+  // Adds the device the attempts run on; its stream carries their work,
+  // backoff and checkpoint copies. Faults scanned on it carry
+  // GpuFault::device == 0.
+  void attach(const EngineDevice& device);
+  // Adds the i-th shard of a multi-device engine (MultiGpu) instead: its
+  // faults carry GpuFault::device == i and its gsan report lines are
+  // prefixed "[gpu<i>] ". The attempt reports its own device_ms and
+  // queue_wait_ms (the makespan: shard clocks restart every round).
+  void attach_shard(const EngineDevice& device);
 
   // --- per-query bindings (serving layer) ----------------------------------
   // Cooperative cancellation (docs/serving.md): polled by cancelled() and
@@ -103,15 +115,23 @@ class AttemptContext {
       const std::function<GpuRunResult(AttemptContext&)>&);
 
   struct Device {
-    gpusim::GpuSim* sim;
-    gpusim::StreamId stream;
-    std::size_t log_begin = 0;  // fault-log watermark of this attempt
+    gpusim::GpuSim* sim = nullptr;
+    gpusim::StreamId stream = 0;
+    bool owned = false;
+    // Watermarks of the current attempt.
+    std::size_t log_begin = 0;
+    double ms_begin = 0;
+    double wait_begin = 0;
+    gpusim::Counters counters_begin;
   };
 
   void begin_attempt();
+  // Fills the metered fields of `result` (see the header comment).
+  void end_attempt(GpuRunResult& result, graph::VertexId source);
   bool any_device_lost() const;
 
   std::vector<Device> devices_;
+  bool sharded_ = false;
   const CancelToken* cancel_ = nullptr;
   bool cancel_latched_ = false;
   const std::vector<graph::Distance>* warm_ = nullptr;
@@ -145,6 +165,7 @@ GpuRunResult run_with_recovery(
     const std::function<GpuRunResult(AttemptContext&)>& attempt);
 
 // The engine contract: a subclass implements attempt() and inherits run().
+// The engine runs on its device record, which the context meters.
 class RecoverableEngine {
  public:
   virtual ~RecoverableEngine() = default;
@@ -167,13 +188,21 @@ class RecoverableEngine {
   const AttemptContext& context() const { return ctx_; }
 
  protected:
-  RecoverableEngine(const graph::Csr& csr, const RetryPolicy& retry)
-      : csr_(csr), retry_(retry) {}
+  RecoverableEngine(EngineDevice device, const graph::Csr& csr,
+                    const RetryPolicy& retry)
+      : device_(std::move(device)), csr_(csr), retry_(retry) {
+    ctx_.attach(device_);
+  }
 
   // One full attempt from `source`; see the header comment.
   virtual GpuRunResult attempt(graph::VertexId source,
                                AttemptContext& ctx) = 0;
 
+  gpusim::GpuSim& sim() const { return device_.sim(); }
+  gpusim::StreamId stream() const { return device_.stream(); }
+  const DeviceCsrBuffers& graph() const { return device_.graph(); }
+
+  EngineDevice device_;
   const graph::Csr& csr_;
   AttemptContext ctx_;
 

@@ -23,20 +23,19 @@ constexpr std::uint64_t kHeadCell[1] = {1};
 
 SepHybrid::SepHybrid(gpusim::DeviceSpec device, const graph::Csr& csr,
                      SepHybridOptions options)
-    : sim_(std::move(device)), csr_(csr), options_(options) {
-  sim_.enable_sanitizer(options_.sanitize);
-  if (options_.fault.enabled) sim_.enable_fault_injection(options_.fault);
+    : device_(std::move(device), csr, options.sanitize, options.fault),
+      csr_(csr),
+      options_(options) {
   const VertexId n = csr_.num_vertices();
   const EdgeIndex m = csr_.num_edges();
-  // H2D upload of the immutable CSR.
-  graph_ = DeviceCsrBuffers::upload(sim_, csr_);
-  dist_ = sim_.alloc<Distance>("dist", n, kDeviceWord);
-  queue_ = sim_.alloc<VertexId>("queue", std::max<std::size_t>(n, 64),
-                                kDeviceWord);
-  queue_ctrl_ = sim_.alloc<std::uint32_t>("queue_ctrl", 2, kDeviceWord);
-  sim_.mark_initialized(queue_ctrl_);
-  in_queue_ = sim_.alloc<std::uint8_t>("in_queue", n, 1);
-  ctx_.attach(sim_);
+  gpusim::GpuSim& sim = device_.sim();
+  dist_ = sim.alloc<Distance>("dist", n, kDeviceWord);
+  queue_ = sim.alloc<VertexId>("queue", std::max<std::size_t>(n, 64),
+                               kDeviceWord);
+  queue_ctrl_ = sim.alloc<std::uint32_t>("queue_ctrl", 2, kDeviceWord);
+  sim.mark_initialized(queue_ctrl_);
+  in_queue_ = sim.alloc<std::uint8_t>("in_queue", n, 1);
+  ctx_.attach(device_);
 
   // Symmetry detection: the weighted edge multiset must equal its own
   // reverse. Sort-and-compare keeps it O(m log m) with no hashing.
@@ -90,26 +89,20 @@ SepRunResult SepHybrid::run(VertexId source) {
 
 GpuRunResult SepHybrid::attempt(VertexId source, AttemptContext& query,
                                 std::vector<SepRound>& round_log) {
-  sim_.reset_all();
+  gpusim::GpuSim& sim = device_.sim();
   const VertexId n = csr_.num_vertices();
-  GpuRunResult gpu;
   sssp::WorkStats work;
-  std::fill(in_queue_.data().begin(), in_queue_.data().end(), 0);
 
-  fill_kernel(sim_, "init_distances", n, 0,
+  fill_kernel(device_, "init_distances", n,
               Fill{dist_, graph::kInfiniteDistance},
               Fill{in_queue_, std::uint8_t{0}});
-  sim_.label_next_launch("seed_source");
-  sim_.run_kernel(gpusim::Schedule::kStatic, 1, 1,
-                  [&](gpusim::WarpCtx& ctx, std::uint64_t) {
-                    ctx.store_one(dist_, source, Distance{0});
-                  });
+  seed_kernel(device_, source, Fill{dist_, Distance{0}});
 
   std::deque<VertexId> frontier{source};
   in_queue_[source] = 1;
   // Host-side seed of the device work queue (H2D upload).
   queue_[0] = source;
-  sim_.mark_initialized(queue_, 0, 1);
+  sim.mark_initialized(queue_, 0, 1);
   queue_tail_ = 1;
   queue_head_ = 0;
 
@@ -142,10 +135,11 @@ GpuRunResult SepHybrid::attempt(VertexId source, AttemptContext& query,
     }
     std::array<Distance, 32> du{};
     ctx.load(dist_, vs, std::span<Distance>(du.data(), lane_count));
-    const RowBounds rows = load_row_bounds(ctx, graph_, vs);
+    const RowBounds rows = load_row_bounds(ctx, device_.graph(), vs);
     ctx.alu(2, lane_count);
     for_each_lockstep_edge(
-        ctx, graph_, rows, lane_count, [&](const LockstepStep& step) {
+        ctx, device_.graph(), rows, lane_count,
+        [&](const LockstepStep& step) {
           const std::uint32_t cnt = step.count;
           ctx.alu(2, cnt);
           work.relaxations += cnt;
@@ -195,7 +189,7 @@ GpuRunResult SepHybrid::attempt(VertexId source, AttemptContext& query,
   const std::uint64_t max_rounds = 8 * (std::uint64_t(n) + 16);
   std::uint64_t rounds = 0;
   while (!frontier.empty()) {
-    if (sim_.device_lost()) break;  // attempt is void; recovery takes over
+    if (sim.device_lost()) break;  // attempt is void; recovery takes over
     if (++rounds >= max_rounds) {
       // Corrupted distances can legitimately stall convergence; the
       // poisoned attempt is discarded by the retry driver. A genuine
@@ -212,7 +206,7 @@ GpuRunResult SepHybrid::attempt(VertexId source, AttemptContext& query,
     round.mode = mode;
     round.frontier = frontier.size();
     round.frontier_edges = frontier_edges;
-    const double ms_before = sim_.elapsed_ms();
+    const double ms_before = sim.elapsed_ms();
     ++work.iterations;
 
     if (mode == SepMode::kSyncPull) {
@@ -224,8 +218,8 @@ GpuRunResult SepHybrid::attempt(VertexId source, AttemptContext& query,
       // The scan consumes the whole pending queue window.
       queue_head_ = queue_tail_;
       const std::uint64_t warps = (n + 31) / 32;
-      sim_.label_next_launch("pull_sweep");
-      sim_.run_kernel(
+      sim.label_next_launch("pull_sweep");
+      sim.run_kernel(
           gpusim::Schedule::kStatic, warps, 8,
           [&](gpusim::WarpCtx& ctx, std::uint64_t w) {
             const std::uint64_t begin = w * 32;
@@ -236,11 +230,13 @@ GpuRunResult SepHybrid::attempt(VertexId source, AttemptContext& query,
             std::span<const std::uint64_t> is(idx.data(), lanes);
             std::array<Distance, 32> dv{};
             ctx.load(dist_, is, std::span<Distance>(dv.data(), lanes));
-            const RowBounds rows = load_row_bounds(ctx, graph_, is);
+            const RowBounds rows =
+                load_row_bounds(ctx, device_.graph(), is);
             ctx.alu(2, lanes);
             std::array<Distance, 32> best = dv;
             for_each_lockstep_edge(
-                ctx, graph_, rows, lanes, [&](const LockstepStep& step) {
+                ctx, device_.graph(), rows, lanes,
+                [&](const LockstepStep& step) {
                   const std::uint32_t cnt = step.count;
                   // Gather the in-neighbors' current distances.
                   std::array<std::uint64_t, 32> nidx{};
@@ -285,21 +281,21 @@ GpuRunResult SepHybrid::attempt(VertexId source, AttemptContext& query,
                                  std::span<const Distance>(sval.data(), scnt));
             }
           });
-      sim_.host_barrier();
+      sim.host_barrier();
       // The sweep's improved vertices become the next frontier; mirror the
       // compaction kernel's output into the device queue window.
       for (std::size_t i = 0; i < frontier.size(); ++i) {
         const std::uint64_t slot = (queue_tail_ + i) % queue_.size();
         queue_[slot] = frontier[i];
-        sim_.mark_initialized(queue_, slot, 1);
+        sim.mark_initialized(queue_, slot, 1);
       }
       queue_tail_ += frontier.size();
     } else if (mode == SepMode::kAsyncPush) {
       // Async drains continuously, but SEP re-evaluates its decision when
       // the signal changes: once the frontier outgrows the async regime,
       // the persistent kernel retires and the next round re-decides.
-      sim_.label_next_launch("async_push");
-      gpusim::KernelScope kernel(sim_, gpusim::Schedule::kDynamic, true);
+      sim.label_next_launch("async_push");
+      gpusim::KernelScope kernel(sim, gpusim::Schedule::kDynamic, true);
       while (!frontier.empty() &&
              frontier.size() <= 4 * options_.async_frontier_limit) {
         std::array<VertexId, 32> lanes{};
@@ -316,8 +312,8 @@ GpuRunResult SepHybrid::attempt(VertexId source, AttemptContext& query,
     } else {  // kSyncPush
       std::vector<VertexId> sweep(frontier.begin(), frontier.end());
       frontier.clear();
-      sim_.label_next_launch("sync_push");
-      gpusim::KernelScope kernel(sim_, gpusim::Schedule::kStatic, true);
+      sim.label_next_launch("sync_push");
+      gpusim::KernelScope kernel(sim, gpusim::Schedule::kStatic, true);
       for (std::size_t base = 0; base < sweep.size(); base += 32) {
         const auto cnt = static_cast<std::uint32_t>(
             std::min<std::size_t>(32, sweep.size() - base));
@@ -327,21 +323,16 @@ GpuRunResult SepHybrid::attempt(VertexId source, AttemptContext& query,
         kernel.commit(ctx);
       }
       kernel.finish();
-      sim_.host_barrier();
+      sim.host_barrier();
     }
 
-    round.ms = sim_.elapsed_ms() - ms_before;
-    if (options_.instrument) round_log.push_back(round);
+    round.ms = sim.elapsed_ms() - ms_before;
+    round_log.push_back(round);
   }
 
+  GpuRunResult gpu;
   gpu.sssp.distances = dist_.data();
   gpu.sssp.work = work;
-  sssp::finalize_valid_updates(gpu.sssp, source);
-  gpu.device_ms = sim_.elapsed_ms();
-  gpu.counters = sim_.counters();
-  if (const gpusim::Sanitizer* san = sim_.sanitizer()) {
-    gpu.sanitizer_report = san->report();
-  }
   return gpu;
 }
 

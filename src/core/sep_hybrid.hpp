@@ -35,7 +35,6 @@ namespace rdbs::core {
 struct SepHybridOptions {
   double pull_edge_fraction = 0.10;
   std::uint64_t async_frontier_limit = 1024;
-  bool instrument = true;
   // gsan hazard analysis over every launch (docs/sanitizer.md).
   gpusim::SanitizeMode sanitize = gpusim::SanitizeMode::kOff;
   // Deterministic fault injection + recovery (gfi; docs/fault_injection.md).
@@ -65,7 +64,7 @@ class SepHybrid {
  public:
   SepHybrid(gpusim::DeviceSpec device, const graph::Csr& csr,
             SepHybridOptions options = {});
-  // ctx_ holds the address of sim_.
+  // ctx_ holds the address of the simulator.
   SepHybrid(const SepHybrid&) = delete;
   SepHybrid& operator=(const SepHybrid&) = delete;
 
@@ -75,17 +74,15 @@ class SepHybrid {
   // source.
   SepRunResult run(graph::VertexId source);
 
-  gpusim::GpuSim& sim() { return sim_; }
-
  private:
-  // One recovery attempt (full run from a reset simulator clock).
+  // One recovery attempt (full run from a reset simulator).
   GpuRunResult attempt(graph::VertexId source, AttemptContext& query,
                        std::vector<SepRound>& round_log);
 
   SepMode choose_mode(std::uint64_t frontier_vertices,
                       std::uint64_t frontier_edges) const;
 
-  gpusim::GpuSim sim_;
+  EngineDevice device_;
   const graph::Csr& csr_;
   SepHybridOptions options_;
   // Pull sweeps reuse the out-edge CSR as the in-edge list, which is
@@ -93,7 +90,6 @@ class SepHybrid {
   // choose_mode can fall back to push on directed inputs.
   bool csr_symmetric_ = false;
 
-  DeviceCsrBuffers graph_;
   gpusim::Buffer<graph::Distance> dist_;
   gpusim::Buffer<graph::VertexId> queue_;
   gpusim::Buffer<std::uint32_t> queue_ctrl_;  // [0]=tail, [1]=head cursors

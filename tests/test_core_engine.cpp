@@ -263,9 +263,7 @@ TEST(Engine, DistanceGapJumpsBuckets) {
 
 TEST(Engine, BucketStatsAreConsistent) {
   const Csr csr = random_powerlaw_graph(600, 4800, 63);
-  GpuSsspOptions options;
-  options.instrument = true;
-  RdbsSolver solver(csr, gpusim::test_device(), options);
+  RdbsSolver solver(csr, gpusim::test_device(), {});
   const GpuRunResult result = solver.solve(0);
   ASSERT_FALSE(result.buckets.empty());
   std::uint64_t converged_total = 0;

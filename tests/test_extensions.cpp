@@ -327,5 +327,30 @@ TEST(MultiGpu, MoreDevicesThanSlicesOnTinyPaths) {
   }
 }
 
+// The result's counters sum every shard's simulator. From a source with no
+// edges, every shard issues exactly three launches (init_distances,
+// phase2_heavy, collect_bucket) and the source's shard one more
+// (phase1_light).
+TEST(MultiGpu, CountersSumEveryShard) {
+  const VertexId n = 96;
+  graph::EdgeList edges;
+  edges.num_vertices = n;
+  for (VertexId v = 1; v + 1 < n; ++v) edges.add_edge(v, v + 1, 1.0);
+  graph::BuildOptions build;
+  build.symmetrize = true;
+  const Csr csr = graph::build_csr(edges, build);
+  for (const int devices : {1, 2, 3}) {
+    SCOPED_TRACE(devices);
+    core::MultiGpuOptions options;
+    options.num_devices = devices;
+    core::MultiGpuDeltaStepping engine(gpusim::test_device(), csr, options);
+    const core::MultiGpuRunResult result = engine.run(0);
+    EXPECT_EQ(result.gpu.sssp.distances, sssp::dijkstra(csr, 0).distances);
+    EXPECT_EQ(result.gpu.counters.kernel_launches,
+              3u * static_cast<std::uint64_t>(devices) + 1);
+    EXPECT_GT(result.gpu.counters.inst_executed_global_stores, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace rdbs

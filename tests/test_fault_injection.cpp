@@ -690,17 +690,15 @@ TEST(FaultInjection, WatchdogTimeoutRacingDeadlineEndsRecoveryImmediately) {
   cfg.max_faults = 1;     // ...and only the first
   cfg.watchdog_ms = 5.0;  // hang detected after 5 ms
 
-  gpusim::GpuSim sim(gpusim::test_device());
-  sim.enable_fault_injection(cfg);
-  const core::DeviceCsrBuffers graph_bufs =
-      core::DeviceCsrBuffers::upload(sim, csr);
+  const core::EngineDevice device(gpusim::test_device(), csr,
+                                 gpusim::SanitizeMode::kOff, cfg);
+  gpusim::GpuSim& sim = device.sim();
   core::GpuSsspOptions options;
   options.delta0 = 120.0;
-  options.pro = false;  // shared-sim ctor: keep the caller's CSR as-is
-  options.fault = cfg;
+  options.pro = false;  // shared record: keep the caller's CSR as-is
   options.retry.max_attempts = 3;
   options.retry.cpu_fallback = true;  // would rescue it — must not fire
-  core::GpuDeltaStepping engine(sim, /*stream=*/0, csr, options, &graph_bufs);
+  core::GpuDeltaStepping engine(device.lane(/*stream=*/0), csr, options);
 
   const core::CancelToken token(sim, /*stream=*/0, /*deadline_ms=*/2.0);
   engine.context().set_cancel_token(&token);

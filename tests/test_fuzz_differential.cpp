@@ -374,7 +374,7 @@ std::vector<graph::Distance> run_engine(const FuzzCase& c, const Csr& csr,
       options.retry = retry;
       core::MultiGpuDeltaStepping multi(device, csr, options);
       auto result = multi.run(c.source);
-      *sanitizer_report = multi.sanitizer_report();
+      *sanitizer_report = std::move(result.gpu.sanitizer_report);
       return std::move(result.gpu.sssp.distances);
     }
     case Engine::kCpuDelta:

@@ -175,7 +175,7 @@ TEST(MultiGpuFaults, SanitizerAndFaultsComposeClean) {
   ASSERT_TRUE(result.gpu.ok);
   // Retried attempts run the same (hazard-free) kernels; the merged
   // per-device report must stay empty.
-  EXPECT_EQ(engine.sanitizer_report(), "");
+  EXPECT_EQ(result.gpu.sanitizer_report, "");
   EXPECT_EQ(result.gpu.sssp.distances, sssp::dijkstra(csr, 0).distances);
 }
 

@@ -600,7 +600,7 @@ TEST(GsanCleanSweep, MultiGpuEngine) {
   options.sanitize = SanitizeMode::kOn;
   core::MultiGpuDeltaStepping engine(gpusim::test_device(), csr, options);
   const core::MultiGpuRunResult result = engine.run(0);
-  EXPECT_EQ(engine.sanitizer_report(), "");
+  EXPECT_EQ(result.gpu.sanitizer_report, "");
   EXPECT_EQ(result.gpu.sssp.distances, sssp::dijkstra(csr, 0).distances);
 }
 
