@@ -81,9 +81,10 @@ echo "=== [tier1] engines run on the one engine frame ==="
 # owned simulator, and run_with_recovery (src/core/recovery.*) resets it
 # before each attempt and reads every device's clock, counters and gsan
 # report after it. Any other file under src/core/ that resets a simulator,
-# enables gsan or gfi, or reads a gsan report is growing its own copy of
-# that frame.
-if grep -rnE '(reset_all|enable_sanitizer|enable_fault_injection)[[:space:]]*\(|report[[:space:]]*\([[:space:]]*\)' \
+# enables gsan or gfi, or reaches for a simulator's gsan state (the
+# sanitizer() accessor, the only way to read its report) is growing its own
+# copy of that frame.
+if grep -rnE '(reset_all|enable_sanitizer|enable_fault_injection)[[:space:]]*\(|[.>]sanitizer[[:space:]]*\([[:space:]]*\)' \
     "$ROOT/src/core" |
     grep -v -e "^$ROOT/src/core/device_graph\." -e "^$ROOT/src/core/recovery\."; then
   echo "engine frame call outside src/core/device_graph.* and recovery.*" >&2

@@ -4,7 +4,8 @@
 // *simulated* clock. Engines poll it at their natural preemption points —
 // the Δ-stepping bucket boundary, the synchronous phase-1 iteration
 // boundary, the ADDS near/far round boundary — and run_with_recovery checks
-// it before charging a retry. The simulator itself never aborts work: a
+// it after every attempt of every engine (a finished attempt past the
+// deadline returns no distances) and before charging a retry. The simulator itself never aborts work: a
 // kernel that was already launched completes and is charged (GpuSim counts
 // those completions past the deadline per stream; see
 // GpuSim::stream_overrun_kernels), which models CUDA's reality that a

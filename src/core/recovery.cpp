@@ -10,9 +10,7 @@ namespace rdbs::core {
 
 void AttemptContext::attach(const EngineDevice& device) {
   Device d;
-  d.sim = &device.sim();
-  d.stream = device.stream();
-  d.owned = device.owned();
+  d.record = &device;
   devices_.push_back(d);
 }
 
@@ -23,15 +21,15 @@ void AttemptContext::attach_shard(const EngineDevice& device) {
 
 bool AttemptContext::any_device_lost() const {
   for (const Device& d : devices_) {
-    if (d.sim->device_lost()) return true;
+    if (d.sim().device_lost()) return true;
   }
   return false;
 }
 
 bool AttemptContext::poisoned() const {
   for (const Device& d : devices_) {
-    if (d.sim->device_lost()) return true;
-    const std::vector<gpusim::GpuFault>& log = d.sim->fault_log();
+    if (d.sim().device_lost()) return true;
+    const std::vector<gpusim::GpuFault>& log = d.sim().fault_log();
     for (std::size_t i = d.log_begin; i < log.size(); ++i) {
       if (log[i].poisons()) return true;
     }
@@ -52,10 +50,10 @@ void AttemptContext::checkpoint_boundary(
   ++boundaries_;
   if (boundaries_ % static_cast<std::uint64_t>(interval) != 0) return;
   const Device& d = devices_.front();
-  if (poisoned() || d.sim->buffer_poisoned(dist)) return;
+  if (poisoned() || d.sim().buffer_poisoned(dist)) return;
   checkpoint_.bounds = dist.data();
-  d.sim->memcpy_d2h(dist.size() * kCheckpointWordBytes, d.stream);
-  checkpoint_.taken_ms = d.sim->stream_elapsed_ms(d.stream);
+  d.sim().memcpy_d2h(dist.size() * kCheckpointWordBytes, d.stream());
+  checkpoint_.taken_ms = d.sim().stream_elapsed_ms(d.stream());
   checkpoint_.boundaries = boundaries_;
   ++checkpoint_.snapshots;
 }
@@ -65,11 +63,12 @@ void AttemptContext::begin_attempt() {
     // Owned: fresh timeline, counters and caches per attempt. Shared: the
     // simulator belongs to the batch, so time and cache state accumulate
     // across queries and the attempt is metered as deltas of its stream.
-    if (d.owned) d.sim->reset_all();
-    d.log_begin = d.sim->fault_log().size();
-    d.ms_begin = d.sim->stream_elapsed_ms(d.stream);
-    d.wait_begin = d.sim->stream_queue_wait_ms(d.stream);
-    d.counters_begin = d.sim->counters();
+    if (d.record->owned()) d.sim().reset_all();
+    d.log_begin = d.sim().fault_log().size();
+    d.counters_begin = d.sim().counters();
+    if (sharded_) continue;  // the attempt reports its own makespan
+    d.ms_begin = d.sim().stream_elapsed_ms(d.stream());
+    d.wait_begin = d.sim().stream_queue_wait_ms(d.stream());
   }
   cancel_latched_ = false;
   boundaries_ = 0;
@@ -88,14 +87,14 @@ void AttemptContext::end_attempt(GpuRunResult& result,
   }
   if (!sharded_) {
     const Device& d = devices_.front();
-    result.device_ms = d.sim->stream_elapsed_ms(d.stream) - d.ms_begin;
+    result.device_ms = d.sim().stream_elapsed_ms(d.stream()) - d.ms_begin;
     result.queue_wait_ms =
-        d.sim->stream_queue_wait_ms(d.stream) - d.wait_begin;
+        d.sim().stream_queue_wait_ms(d.stream()) - d.wait_begin;
   }
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     const Device& d = devices_[i];
-    result.counters += d.sim->counters() - d.counters_begin;
-    const gpusim::Sanitizer* san = d.sim->sanitizer();
+    result.counters += d.sim().counters() - d.counters_begin;
+    const gpusim::Sanitizer* san = d.sim().sanitizer();
     if (san == nullptr) continue;
     const std::string report = san->report();
     if (!sharded_) {
@@ -131,7 +130,7 @@ GpuRunResult run_with_recovery(
 
   bool injecting = ctx.any_device_lost();
   for (const AttemptContext::Device& d : ctx.devices_) {
-    injecting = injecting || d.sim->fault_injector() != nullptr;
+    injecting = injecting || d.sim().fault_injector() != nullptr;
   }
   if (!injecting) {
     // Fault injection off: single attempt, no scan, no extra bookkeeping.
@@ -155,6 +154,10 @@ GpuRunResult run_with_recovery(
   double spent_ms = 0;
   double spent_wait_ms = 0;
   gpusim::Counters spent_counters;
+  // A simulator's gsan report outlives reset_all, so the last discarded
+  // attempt's report names the hazards of every attempt; a run that gives
+  // up on the device still returns it.
+  std::string sanitizer_report;
   double backoff = std::max(0.0, policy.backoff_ms);
   const int max_attempts = std::max(1, policy.max_attempts);
 
@@ -169,7 +172,7 @@ GpuRunResult run_with_recovery(
     bool poisoned = false;
     for (std::size_t d = 0; d < ctx.devices_.size(); ++d) {
       const std::vector<gpusim::GpuFault>& log =
-          ctx.devices_[d].sim->fault_log();
+          ctx.devices_[d].sim().fault_log();
       for (std::size_t i = ctx.devices_[d].log_begin; i < log.size(); ++i) {
         gpusim::GpuFault fault = log[i];
         fault.device = static_cast<int>(d);
@@ -199,6 +202,7 @@ GpuRunResult run_with_recovery(
     spent_ms += result.device_ms;
     spent_wait_ms += result.queue_wait_ms;
     spent_counters += result.counters;
+    sanitizer_report = std::move(result.sanitizer_report);
     if (lost) break;  // no retry can succeed on a lost device
     if (ctx.cancel_ != nullptr && ctx.cancel_->expired()) {
       // The poisoned attempt consumed the rest of the budget: don't charge
@@ -215,13 +219,13 @@ GpuRunResult run_with_recovery(
       // run pays the largest upload.
       double reupload_ms = 0;
       for (const AttemptContext::Device& d : ctx.devices_) {
-        d.sim->charge_host_ms(backoff, d.stream);
+        d.sim().charge_host_ms(backoff, d.stream());
         const std::uint64_t poisoned_bytes =
-            d.sim->memory().poisoned_read_only_bytes();
+            d.sim().memory().poisoned_read_only_bytes();
         if (poisoned_bytes > 0) {
-          d.sim->memcpy_h2d(poisoned_bytes, d.stream);
-          reupload_ms = std::max(reupload_ms, d.sim->memcpy_ms(poisoned_bytes));
-          d.sim->memory().clear_poison();
+          d.sim().memcpy_h2d(poisoned_bytes, d.stream());
+          reupload_ms = std::max(reupload_ms, d.sim().memcpy_ms(poisoned_bytes));
+          d.sim().memory().clear_poison();
         }
       }
       spent_ms += backoff;
@@ -246,6 +250,7 @@ GpuRunResult run_with_recovery(
   result.device_ms = spent_ms;
   result.queue_wait_ms = spent_wait_ms;
   result.counters = spent_counters;
+  result.sanitizer_report = std::move(sanitizer_report);
   result.faults = std::move(faults);
   if (cancel_expired || (ctx.cancel_ != nullptr && ctx.cancel_->expired())) {
     // Out of time: a CPU fallback computed now would arrive after the

@@ -30,7 +30,10 @@
 // only distances, WorkStats and its per-bucket or per-round stats.
 // Metrics accumulate across attempts: device_ms / queue_wait_ms / counters
 // of the returned result cover every attempt plus backoff and re-upload
-// charges, so recovery cost is visible in the timeline.
+// charges, so recovery cost is visible in the timeline. The gsan report
+// accumulates by itself (reset_all leaves a simulator's sanitizer alone):
+// every returned result, a CPU fallback or a failure too, names the hazards
+// of every attempt.
 #pragma once
 
 #include <functional>
@@ -53,7 +56,8 @@ class AttemptContext {
  public:
   // Adds the device the attempts run on; its stream carries their work,
   // backoff and checkpoint copies. Faults scanned on it carry
-  // GpuFault::device == 0.
+  // GpuFault::device == 0. The context keeps the record's address, so the
+  // record must outlive it and stay put.
   void attach(const EngineDevice& device);
   // Adds the i-th shard of a multi-device engine (MultiGpu) instead: its
   // faults carry GpuFault::device == i and its gsan report lines are
@@ -115,10 +119,10 @@ class AttemptContext {
       const std::function<GpuRunResult(AttemptContext&)>&);
 
   struct Device {
-    gpusim::GpuSim* sim = nullptr;
-    gpusim::StreamId stream = 0;
-    bool owned = false;
-    // Watermarks of the current attempt.
+    const EngineDevice* record = nullptr;
+    gpusim::GpuSim& sim() const { return record->sim(); }
+    gpusim::StreamId stream() const { return record->stream(); }
+    // Watermarks of the current attempt (the clock ones unused by shards).
     std::size_t log_begin = 0;
     double ms_begin = 0;
     double wait_begin = 0;
@@ -169,7 +173,7 @@ GpuRunResult run_with_recovery(
 class RecoverableEngine {
  public:
   virtual ~RecoverableEngine() = default;
-  // The context holds the address of the engine's simulator.
+  // The context holds the address of the engine's device record.
   RecoverableEngine(const RecoverableEngine&) = delete;
   RecoverableEngine& operator=(const RecoverableEngine&) = delete;
 

@@ -64,7 +64,7 @@ class SepHybrid {
  public:
   SepHybrid(gpusim::DeviceSpec device, const graph::Csr& csr,
             SepHybridOptions options = {});
-  // ctx_ holds the address of the simulator.
+  // ctx_ holds the address of device_.
   SepHybrid(const SepHybrid&) = delete;
   SepHybrid& operator=(const SepHybrid&) = delete;
 

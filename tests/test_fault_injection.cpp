@@ -716,6 +716,24 @@ TEST(FaultInjection, WatchdogTimeoutRacingDeadlineEndsRecoveryImmediately) {
   EXPECT_GE(sim.stream_elapsed_ms(0), cfg.watchdog_ms);
 }
 
+// run_with_recovery polls the cancel token after every attempt of every
+// engine. Davidson never polls mid-run, so its run finishes; a run that
+// ends past its deadline is still late and returns no distances.
+TEST(FaultInjection, NonPollingEngineFinishedPastDeadlineReturnsNoDistances) {
+  const Csr csr = chaos_graph();
+  core::DavidsonNearFar engine(gpusim::test_device(), csr, {});
+  gpusim::GpuSim clock(gpusim::test_device());
+  const core::CancelToken token(clock, /*stream=*/0, /*deadline_ms=*/0.0);
+  engine.context().set_cancel_token(&token);
+  const core::GpuRunResult result = engine.run(0);
+
+  EXPECT_FALSE(result.ok);
+  EXPECT_TRUE(result.deadline_exceeded);
+  EXPECT_TRUE(result.sssp.distances.empty());
+  EXPECT_GT(result.device_ms, 0.0);  // the whole run was charged
+  EXPECT_EQ(result.recovery.attempts, 1u);
+}
+
 // Device loss hitting the probe query of a half-open breaker: the probe is
 // a fault outcome, so the breaker reopens — and because a lost device
 // latches the whole shared simulator, the query itself is rescued by the

@@ -12,7 +12,9 @@
 #include <string>
 #include <vector>
 
+#include "core/device_graph.hpp"
 #include "core/multi_gpu.hpp"
+#include "core/recovery.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/fault.hpp"
 #include "sssp/dijkstra.hpp"
@@ -177,6 +179,46 @@ TEST(MultiGpuFaults, SanitizerAndFaultsComposeClean) {
   // per-device report must stay empty.
   EXPECT_EQ(result.gpu.sanitizer_report, "");
   EXPECT_EQ(result.gpu.sssp.distances, sssp::dijkstra(csr, 0).distances);
+}
+
+// The frame MultiGpu runs on, driven to the CPU fallback with a seeded
+// out-of-bounds store on shard 1: every launch fails, so both attempts are
+// discarded, and the fallback result must still name the shard's hazard.
+TEST(MultiGpuFaults, GsanReportSurvivesCpuFallback) {
+  const Csr csr = test::paper_figure1_graph();
+  const VertexId n = csr.num_vertices();
+  gpusim::FaultConfig fault;
+  fault.enabled = true;
+  fault.seed = 3;
+  fault.launch_failure = 1.0;
+  const core::EngineDevice shard0(gpusim::test_device(), csr, 0, n / 2,
+                                  gpusim::SanitizeMode::kOn, fault);
+  const core::EngineDevice shard1(gpusim::test_device(), csr, n / 2, n,
+                                  gpusim::SanitizeMode::kOn, fault);
+  gpusim::GpuSim& sim = shard1.sim();
+  auto data = sim.alloc<std::uint32_t>("data", 8);
+  sim.mark_initialized(data);
+  core::AttemptContext ctx;
+  ctx.attach_shard(shard0);
+  ctx.attach_shard(shard1);
+  core::RetryPolicy policy;
+  policy.max_attempts = 2;
+  const core::GpuRunResult result = core::run_with_recovery(
+      ctx, policy, csr, 0, [&](core::AttemptContext&) {
+        sim.label_next_launch("oob_kernel");
+        sim.run_kernel(gpusim::Schedule::kStatic, 1, 1,
+                       [&](gpusim::WarpCtx& w, std::uint64_t) {
+                         w.store_one(data, 100, 7u);
+                       });
+        return core::GpuRunResult{};
+      });
+  ASSERT_TRUE(result.ok);
+  EXPECT_EQ(result.recovery.attempts, 2u);
+  EXPECT_EQ(result.recovery.cpu_fallbacks, 1u);
+  EXPECT_EQ(result.sanitizer_report,
+            "[gpu1] [gsan] out-of-bounds: kernel=oob_kernel buffer=data "
+            "elem=100 warp=0 x2\n");
+  EXPECT_EQ(result.sssp.distances, sssp::dijkstra(csr, 0).distances);
 }
 
 TEST(MultiGpuFaults, InvalidSourceThrows) {
